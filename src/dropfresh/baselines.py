@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .scheduler import ActionKind, DarConfig, EpochAction, LossLedger, SchedulerState
+from .scheduler import ActionKind, EpochAction, SchedulerState
 
 WEIGHT_FLOOR = 1e-3
 _MEAN_TOL = 1e-12
@@ -36,9 +36,8 @@ class WeightVector:
             raise ValueError(f"weights must average to 1, got mean {mean!r}")
 
 
-def uniform_policy(state: SchedulerState, config: DarConfig | None = None,
-                   ledger: LossLedger | None = None) -> tuple[SchedulerState, EpochAction]:
-    """Keep the full pool every epoch; signature mirrors ``end_of_epoch``."""
+def uniform_policy(state: SchedulerState) -> tuple[SchedulerState, EpochAction]:
+    """Keep the full pool every epoch."""
     full = tuple(range(state.population))
     return replace(state, active_ids=full), EpochAction(ActionKind.KEEP)
 

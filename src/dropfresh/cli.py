@@ -58,11 +58,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_cost(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     population = training_population(cfg)
-    rows = scheduler.trace(cfg.dar, population)
-    for line in scheduler.trace_csv_lines(rows):
+    for line in scheduler.trace_csv_lines(scheduler.trace(cfg.dar, population)):
         print(line)
-    ratio = sum(row.size for row in rows) / (cfg.total_epochs * population)
-    print(repr(ratio))
+    print(repr(scheduler.planned_cost(cfg.dar, population)))
     return 0
 
 

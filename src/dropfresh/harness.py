@@ -111,7 +111,7 @@ def metrics_lines(records: Sequence[EpochRecord]) -> list[str]:
     return [json.dumps(r.to_dict(), sort_keys=True) for r in records]
 
 
-def _execute(cfg: ExperimentConfig) -> tuple[RunReport, ParamSet]:
+def run_experiment_with_params(cfg: ExperimentConfig) -> tuple[RunReport, ParamSet]:
     start = time.perf_counter()
     train_set, val_set = load_dataset(cfg.data, cfg.run_seed)
     layers = [train_set.dim, *cfg.hidden_layers, train_set.class_count]
@@ -130,20 +130,14 @@ def _execute(cfg: ExperimentConfig) -> tuple[RunReport, ParamSet]:
         for batch_ids in datasets.epoch_batches(state.active_ids, cfg.batch_size,
                                                 cfg.run_seed, epoch):
             batch = datasets.make_batch(train_set, batch_ids, cfg.data.augment, epoch_key)
+            ids = np.asarray(batch.ids)
             try:
                 out = model.softmax_xent(model.forward(params, batch.features), batch.labels)
+                ledger.record(ids, out.per_example_loss)
             except ValueError as exc:
                 raise HarnessError(
                     f"epoch {epoch}, examples {batch.ids[:3]}...: {exc}") from exc
-            finite = np.isfinite(out.per_example_loss)
-            if not finite.all():
-                bad = batch.ids[int(np.argmin(finite))]
-                raise HarnessError(
-                    f"non-finite training loss at epoch {epoch}, example {bad}")
-            for example_id, loss in zip(batch.ids, out.per_example_loss):
-                ledger.record(example_id, float(loss))
-            sample_weights = (weights.values[list(batch.ids)]
-                              if weights is not None else None)
+            sample_weights = weights.values[ids] if weights is not None else None
             grads = model.backward(params, batch.features, batch.labels,
                                    weight_decay=cfg.train.weight_decay,
                                    sample_weights=sample_weights)
@@ -157,7 +151,7 @@ def _execute(cfg: ExperimentConfig) -> tuple[RunReport, ParamSet]:
         if cfg.policy == "dar":
             state, action = scheduler.end_of_epoch(state, cfg.dar, ledger)
         elif cfg.policy == "reweight":
-            weights = reweight(np.array([ledger.value(i) for i in range(train_set.n)]))
+            weights = reweight(ledger.losses)
             state, action = uniform_policy(state)
         else:
             state, action = uniform_policy(state)
@@ -177,11 +171,7 @@ def _execute(cfg: ExperimentConfig) -> tuple[RunReport, ParamSet]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    return _execute(cfg)[0]
-
-
-def run_experiment_with_params(cfg: ExperimentConfig) -> tuple[RunReport, ParamSet]:
-    return _execute(cfg)
+    return run_experiment_with_params(cfg)[0]
 
 
 def _atomic_write(path: Path, data: Union[str, bytes]) -> None:
@@ -213,6 +203,8 @@ def load_params(path: Union[str, Path]) -> ParamSet:
         meta = json.loads(sidecar.read_text())
     except FileNotFoundError:
         raise HarnessError(f"{sidecar}: shape sidecar not found") from None
+    if not isinstance(meta, dict) or not isinstance(meta.get("layer_sizes"), list):
+        raise HarnessError(f"{sidecar}: no layer_sizes list in the shape sidecar")
     sizes = [int(s) for s in meta["layer_sizes"]]
     flat = np.frombuffer(path.read_bytes(), dtype="<f8").astype(np.float64)
     expected = sum(fi * fo + fo for fi, fo in zip(sizes, sizes[1:]))

@@ -6,11 +6,11 @@ with the largest recorded losses (a *drop*), until the cycle's drop window
 closes. At each scheduled refresh epoch the pool is restored to the full
 dataset and a new cycle begins.
 
-All transitions are pure functions: the training loop owns a
+The rules are one pure function of the schedule's counters, :func:`_decide`;
+losses only choose *which* examples survive a drop. The training loop owns a
 :class:`SchedulerState`, fills a :class:`LossLedger` while it trains, and
-applies the state/action returned by :func:`end_of_epoch`. Pool *sizes* are
-independent of the recorded losses, so :func:`trace` and
-:func:`planned_cost` can dry-run a whole schedule without touching a model.
+applies what :func:`end_of_epoch` returns. :func:`trace` and
+:func:`planned_cost` run the rules on the counters alone, with no ledger.
 """
 from __future__ import annotations
 
@@ -19,25 +19,13 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
-
-class KeepRounding(Enum):
-    """How the retained-example count is derived from ``keep_rate``."""
-
-    CEIL_AT_LEAST_ONE = "ceil_at_least_one"
+import numpy as np
 
 
 class ActionKind(Enum):
     KEEP = "keep"
     DROP = "drop"
     REFRESH = "refresh"
-
-
-def _retained_count(keep_rate: float, pool_size: int,
-                    rounding: KeepRounding = KeepRounding.CEIL_AT_LEAST_ONE) -> int:
-    # ceil(keep_rate * size), never below one example.
-    if rounding is not KeepRounding.CEIL_AT_LEAST_ONE:
-        raise ValueError(f"unsupported rounding rule: {rounding!r}")
-    return max(1, math.ceil(keep_rate * pool_size))
 
 
 @dataclass(frozen=True)
@@ -55,8 +43,6 @@ class DarConfig:
     keep_rate: float = 1.0
     active_epochs: int | None = None
     refresh_epochs: tuple[int, ...] = ()
-    keep_rounding: KeepRounding = KeepRounding.CEIL_AT_LEAST_ONE
-    reset_interval_on_refresh: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "refresh_epochs", tuple(int(e) for e in self.refresh_epochs))
@@ -84,7 +70,8 @@ class DarConfig:
                     f"({self.warmup_epochs}, {self.total_epochs}]")
 
     def keep_count(self, pool_size: int) -> int:
-        return _retained_count(self.keep_rate, pool_size, self.keep_rounding)
+        """Examples a drop retains: ``ceil(keep_rate * size)``, never below one."""
+        return max(1, math.ceil(self.keep_rate * pool_size))
 
 
 @dataclass(frozen=True)
@@ -105,15 +92,15 @@ class SchedulerState:
     def __post_init__(self) -> None:
         if self.population < 1:
             raise ValueError(f"population must be >= 1, got {self.population}")
-        if not self.active_ids:
+        ids = np.asarray(self.active_ids, dtype=np.int64)
+        if ids.size == 0:
             raise ValueError("active_ids must not be empty")
-        prev = -1
-        for i in self.active_ids:
-            if not 0 <= i < self.population:
-                raise ValueError(f"active id {i} outside [0, {self.population})")
-            if i <= prev:
-                raise ValueError("active_ids must be strictly ascending")
-            prev = i
+        outside = (ids < 0) | (ids >= self.population)
+        if outside.any():
+            raise ValueError(
+                f"active id {ids[outside.argmax()]} outside [0, {self.population})")
+        if (np.diff(ids) <= 0).any():
+            raise ValueError("active_ids must be strictly ascending")
 
     def next_epoch(self) -> "SchedulerState":
         """Advance the epoch counter before training the next epoch."""
@@ -123,47 +110,57 @@ class SchedulerState:
 class LossLedger:
     """Most recent per-example training loss recorded during one epoch.
 
-    Re-recording an id overwrites its entry, so with shuffling plus a
-    shrinking pool the ledger always reflects the latest observation.
+    ``losses`` is a float64 array indexed by example id, NaN where nothing
+    was recorded; it grows to the largest id recorded. Re-recording an id
+    overwrites its entry, so with shuffling plus a shrinking pool the ledger
+    always reflects the latest observation.
     """
 
     def __init__(self, entries: Mapping[int, float] | None = None) -> None:
-        self._entries: dict[int, float] = {}
-        if entries is not None:
-            for example_id, loss in entries.items():
-                self.record(example_id, loss)
+        self.losses = np.empty(0)
+        if entries:
+            self.record(list(entries), list(entries.values()))
 
-    def record(self, example_id: int, loss: float) -> None:
-        loss = float(loss)
-        if not math.isfinite(loss):
-            raise ValueError(f"non-finite loss {loss!r} for example {example_id}")
-        if loss < 0.0:
-            raise ValueError(f"negative loss {loss!r} for example {example_id}")
-        self._entries[int(example_id)] = loss
+    def record(self, example_ids, losses) -> None:
+        """Record one loss per id: a scalar pair, or an id array and a loss array."""
+        ids = np.asarray(example_ids, dtype=np.int64).reshape(-1)
+        values = np.asarray(losses, dtype=np.float64).reshape(-1)
+        if ids.shape != values.shape:
+            raise ValueError(f"{ids.size} example ids but {values.size} losses")
+        if ids.size == 0:
+            return
+        bad = ~np.isfinite(values) | (values < 0.0)
+        if bad.any():
+            at = int(bad.argmax())
+            loss = float(values[at])
+            kind = "non-finite" if not math.isfinite(loss) else "negative"
+            raise ValueError(f"{kind} loss {loss!r} for example {ids[at]}")
+        if ids.min() < 0:
+            raise ValueError(f"negative example id {ids.min()}")
+        top = int(ids.max()) + 1
+        if top > self.losses.size:
+            grown = np.full(top, np.nan)
+            grown[:self.losses.size] = self.losses
+            self.losses = grown
+        self.losses[ids] = values
 
     def value(self, example_id: int) -> float:
-        try:
-            return self._entries[example_id]
-        except KeyError:
-            raise ValueError(f"ledger has no entry for example {example_id}") from None
-
-    def ids(self) -> frozenset[int]:
-        return frozenset(self._entries)
-
-    def items(self) -> Iterator[tuple[int, float]]:
-        return iter(self._entries.items())
+        if example_id not in self:
+            raise ValueError(f"ledger has no entry for example {example_id}")
+        return float(self.losses[example_id])
 
     def mean(self) -> float:
         """Exactly rounded mean, independent of recording order."""
-        if not self._entries:
+        recorded = self.losses[~np.isnan(self.losses)]
+        if recorded.size == 0:
             raise ValueError("cannot take the mean of an empty ledger")
-        return math.fsum(self._entries.values()) / len(self._entries)
+        return math.fsum(recorded.tolist()) / recorded.size
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return int(np.count_nonzero(~np.isnan(self.losses)))
 
     def __contains__(self, example_id: int) -> bool:
-        return example_id in self._entries
+        return 0 <= example_id < self.losses.size and not math.isnan(self.losses[example_id])
 
 
 @dataclass(frozen=True)
@@ -180,8 +177,6 @@ class EpochAction:
 
 def init(config: DarConfig, population: int) -> SchedulerState:
     """State before epoch 1: full pool, cycle anchored at the warm-up end."""
-    if population < 1:
-        raise ValueError(f"population must be >= 1, got {population}")
     return SchedulerState(
         epoch=0,
         cycle_start=config.warmup_epochs,
@@ -191,8 +186,8 @@ def init(config: DarConfig, population: int) -> SchedulerState:
     )
 
 
-def select_hardest(ledger: LossLedger, active_ids: Iterable[int], keep_rate: float,
-                   rounding: KeepRounding = KeepRounding.CEIL_AT_LEAST_ONE) -> tuple[int, ...]:
+def select_hardest(ledger: LossLedger, active_ids: Iterable[int],
+                   keep_rate: float) -> tuple[int, ...]:
     """Ids of the ``keep_rate`` share of ``active_ids`` with the largest losses.
 
     Ties on loss are broken toward the smaller id, so the result is a
@@ -200,37 +195,60 @@ def select_hardest(ledger: LossLedger, active_ids: Iterable[int], keep_rate: flo
     """
     if not 0.0 < keep_rate <= 1.0:
         raise ValueError(f"keep_rate must be in (0, 1], got {keep_rate}")
-    ranked = []
-    for example_id in active_ids:
-        if example_id not in ledger:
-            raise ValueError(f"ledger has no entry for active example {example_id}")
-        ranked.append((-ledger.value(example_id), example_id))
-    if not ranked:
+    ids = np.asarray(tuple(active_ids), dtype=np.int64)
+    losses = np.full(ids.size, np.nan)
+    inside = (ids >= 0) & (ids < ledger.losses.size)
+    losses[inside] = ledger.losses[ids[inside]]
+    missing = np.isnan(losses)
+    if missing.any():
+        raise ValueError(f"ledger has no entry for active example {ids[missing.argmax()]}")
+    if ids.size == 0:
         raise ValueError("active_ids must not be empty")
-    ranked.sort()
-    count = _retained_count(keep_rate, len(ranked), rounding)
-    return tuple(sorted(example_id for _, example_id in ranked[:count]))
+    count = max(1, math.ceil(keep_rate * ids.size))
+    return tuple(np.sort(ids[np.lexsort((ids, -losses))[:count]]).tolist())
 
 
 def _check_ledger_covers(ledger: LossLedger, active_ids: tuple[int, ...]) -> None:
-    recorded = ledger.ids()
-    active = frozenset(active_ids)
-    if recorded != active:
-        missing = sorted(active - recorded)[:5]
-        extra = sorted(recorded - active)[:5]
+    recorded = np.flatnonzero(~np.isnan(ledger.losses))
+    active = np.asarray(active_ids, dtype=np.int64)
+    if not np.array_equal(recorded, active):
+        missing = np.setdiff1d(active, recorded)[:5].tolist()
+        extra = np.setdiff1d(recorded, active)[:5].tolist()
         raise ValueError(
             f"ledger/active mismatch: missing={missing} extra={extra} "
-            f"(|ledger|={len(recorded)}, |active|={len(active)})")
+            f"(|ledger|={recorded.size}, |active|={active.size})")
+
+
+def _decide(config: DarConfig, epoch: int, cycle_start: int, last_drop: int,
+            pool_size: int, population: int) -> tuple[ActionKind, int, int, int]:
+    """The end-of-epoch rules: ``(action, new_size, cycle_start, last_drop)``.
+
+    Order matters: the drop rule is evaluated first, then a scheduled
+    refresh, which supersedes a drop landing on the same epoch. A drop that
+    would retain the whole pool (keep_rate 1.0 on an already-minimal pool,
+    say) is reported as a keep; it still advances ``last_drop``.
+    """
+    action, size = ActionKind.KEEP, pool_size
+    if epoch > config.warmup_epochs:
+        window_open = (config.active_epochs is None
+                       or epoch - cycle_start < config.active_epochs)
+        if epoch - last_drop == config.interval_epochs and window_open:
+            last_drop = epoch
+            kept = config.keep_count(pool_size)
+            if kept < pool_size:
+                action, size = ActionKind.DROP, kept
+    if epoch in config.refresh_epochs:
+        action, size, cycle_start, last_drop = ActionKind.REFRESH, population, epoch, epoch
+    return action, size, cycle_start, last_drop
 
 
 def end_of_epoch(state: SchedulerState, config: DarConfig,
                  ledger: LossLedger) -> tuple[SchedulerState, EpochAction]:
     """Apply the end-of-epoch transition for ``state.epoch``.
 
-    Order matters: the drop rule is evaluated first, then a scheduled
-    refresh, which supersedes a drop landing on the same epoch. A drop that
-    would retain the whole pool (keep_rate 1.0 on an already-minimal pool,
-    say) is reported as a keep; it still advances ``last_drop``.
+    :func:`_decide` sets the action and the counters; a drop then keeps the
+    examples with the largest losses in ``ledger``, which must hold exactly
+    the active ids.
     """
     epoch = state.epoch
     if epoch < 1:
@@ -238,29 +256,16 @@ def end_of_epoch(state: SchedulerState, config: DarConfig,
     if epoch > config.total_epochs:
         raise ValueError(f"epoch {epoch} exceeds total_epochs {config.total_epochs}")
     _check_ledger_covers(ledger, state.active_ids)
-
-    cycle_start = state.cycle_start
-    last_drop = state.last_drop
+    kind, _, cycle_start, last_drop = _decide(
+        config, epoch, state.cycle_start, state.last_drop, len(state.active_ids),
+        state.population)
     active = state.active_ids
-    action = EpochAction(ActionKind.KEEP)
-
-    if epoch > config.warmup_epochs:
-        window_open = (config.active_epochs is None
-                       or epoch - cycle_start < config.active_epochs)
-        if epoch - last_drop == config.interval_epochs and window_open:
-            last_drop = epoch
-            retained = select_hardest(ledger, active, config.keep_rate, config.keep_rounding)
-            if len(retained) < len(active):
-                active = retained
-                action = EpochAction(ActionKind.DROP, retained=retained)
-
-    if epoch in config.refresh_epochs:
-        cycle_start = epoch
-        if config.reset_interval_on_refresh:
-            last_drop = epoch
+    action = EpochAction(kind)
+    if kind is ActionKind.DROP:
+        active = select_hardest(ledger, active, config.keep_rate)
+        action = EpochAction(kind, retained=active)
+    elif kind is ActionKind.REFRESH:
         active = tuple(range(state.population))
-        action = EpochAction(ActionKind.REFRESH)
-
     new_state = replace(state, cycle_start=cycle_start, last_drop=last_drop,
                         active_ids=active)
     return new_state, action
@@ -276,15 +281,17 @@ class TraceEntry:
 
 
 def trace(config: DarConfig, population: int) -> list[TraceEntry]:
-    """Dry-run the schedule with a zeroed ledger; no model involved."""
-    state = init(config, population)
+    """Dry-run the schedule on its counters alone; no ledger, no model."""
+    if population < 1:
+        raise ValueError(f"population must be >= 1, got {population}")
+    cycle_start = last_drop = config.warmup_epochs
+    size = population
     rows: list[TraceEntry] = []
-    for _ in range(config.total_epochs):
-        state = state.next_epoch()
-        size = len(state.active_ids)
-        ledger = LossLedger(dict.fromkeys(state.active_ids, 0.0))
-        state, action = end_of_epoch(state, config, ledger)
-        rows.append(TraceEntry(epoch=state.epoch, size=size, action=action.kind))
+    for epoch in range(1, config.total_epochs + 1):
+        action, next_size, cycle_start, last_drop = _decide(
+            config, epoch, cycle_start, last_drop, size, population)
+        rows.append(TraceEntry(epoch=epoch, size=size, action=action))
+        size = next_size
     return rows
 
 

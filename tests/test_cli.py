@@ -149,6 +149,29 @@ def test_export_features_from_saved_model(write_config, tmp_path, capsys):
     assert len(lines) == 72 + 1  # training split of 90 examples minus 20% val
 
 
+@pytest.mark.parametrize("layer_sizes", [None, 7])
+def test_export_features_rejects_sidecar_without_layer_sizes(write_config, tmp_path,
+                                                             capsys, layer_sizes):
+    path = write_config(run_values())
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--out", str(out_dir)]) == 0
+    sidecar = out_dir / "model.json"
+    meta = json.loads(sidecar.read_text())
+    if layer_sizes is None:
+        del meta["layer_sizes"]
+    else:
+        meta["layer_sizes"] = layer_sizes
+    sidecar.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(["export-features", "--model", str(out_dir / "model.bin"),
+                 "--data", f"config:{path}", "--out", str(tmp_path / "f.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "HarnessError"
+    assert "model.json" in payload["message"]
+
+
 def test_export_features_rejects_bad_data_spec(capsys, tmp_path):
     model = tmp_path / "missing.bin"
     assert main(["export-features", "--model", str(model),

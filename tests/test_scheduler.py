@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,6 +112,25 @@ def test_ledger_rejects_bad_losses():
         ledger.record(0, float("nan"))
     with pytest.raises(ValueError, match="non-finite"):
         ledger.record(0, float("inf"))
+
+
+def test_ledger_batch_record_latest_value_wins():
+    ledger = LossLedger()
+    ledger.record(np.array([4, 1, 7]), np.array([0.5, 1.5, 2.5]))
+    ledger.record(np.array([7, 2]), np.array([0.25, 3.0]))
+    assert [ledger.value(i) for i in (1, 2, 4, 7)] == [1.5, 3.0, 0.5, 0.25]
+    assert len(ledger) == 4 and 0 not in ledger and 3 not in ledger
+
+
+@pytest.mark.parametrize("bad, fragment", [
+    (-0.5, "negative"), (float("nan"), "non-finite"),
+    (float("inf"), "non-finite"), (float("-inf"), "non-finite"),
+])
+def test_ledger_batch_record_names_the_bad_example(bad, fragment):
+    ledger = LossLedger()
+    with pytest.raises(ValueError, match=f"^{fragment} loss .* for example 12$"):
+        ledger.record(np.array([3, 12, 5]), np.array([0.1, bad, 0.2]))
+    assert len(ledger) == 0
 
 
 def test_ledger_mean_is_order_independent():
@@ -226,6 +246,19 @@ def test_imagenet_style_planned_cost_frozen():
     cfg = DarConfig(total_epochs=120, warmup_epochs=10, interval_epochs=2,
                     keep_rate=0.9, active_epochs=10, refresh_epochs=(30, 60, 90))
     assert planned_cost(cfg, 5000) == 0.73913
+
+
+def test_trace_imagenet_default_at_full_scale_matches_oracle():
+    cfg = DarConfig(total_epochs=120, warmup_epochs=10, interval_epochs=2,
+                    keep_rate=0.9, active_epochs=10, refresh_epochs=(30, 60, 90))
+    population = 1_281_167
+    expected = simulate_schedule(120, 10, 2, 0.9, 10, {30, 60, 90}, population)
+    assert [(r.size, r.action.value) for r in trace(cfg, population)] == expected
+
+
+def test_trace_rejects_bad_population():
+    with pytest.raises(ValueError, match="population"):
+        trace(TOY, 0)
 
 
 def test_trace_zero_window_never_drops():
