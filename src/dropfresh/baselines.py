@@ -56,8 +56,10 @@ def reweight(prev_epoch_losses: np.ndarray) -> WeightVector:
         raise ValueError("non-finite loss values")
     if (losses < 0).any():
         raise ValueError("losses must be >= 0")
-    mean = losses.mean()
-    if mean == 0.0:
+    if losses.mean() == 0.0:
         return WeightVector(np.ones_like(losses))
-    scaled = np.maximum(losses / mean, WEIGHT_FLOOR)
+    # Rescaling by a power of two so the largest loss lies in [0.5, 1) is
+    # exact; it keeps subnormal losses from losing bits in the mean.
+    losses = np.ldexp(losses, -np.frexp(losses.max())[1])
+    scaled = np.maximum(losses / losses.mean(), WEIGHT_FLOOR)
     return WeightVector(scaled / scaled.mean())

@@ -92,3 +92,10 @@ def test_reweight_scale_invariance(losses, scale):
     base = reweight(losses).values
     rescaled = reweight(losses * scale).values
     assert rescaled == pytest.approx(base, rel=1e-9, abs=1e-12)
+
+
+def test_reweight_subnormal_losses_keep_their_ratios():
+    losses = np.array([0.0] + [2.22507386e-313] * 12)
+    base = reweight(losses).values
+    assert reweight(losses * 0.0078125).values == pytest.approx(base, rel=1e-12)
+    assert reweight(np.array([0.0] + [1.0] * 12)).values == pytest.approx(base, rel=1e-12)
