@@ -37,9 +37,10 @@ class WeightVector:
 
 
 def uniform_policy(state: SchedulerState) -> tuple[SchedulerState, EpochAction]:
-    """Keep the full pool every epoch."""
-    full = tuple(range(state.population))
-    return replace(state, active_ids=full), EpochAction(ActionKind.KEEP)
+    """Keep the full pool every epoch; a state already holding it is returned as is."""
+    if len(state.active_ids) < state.population:
+        state = replace(state, active_ids=tuple(range(state.population)))
+    return state, EpochAction(ActionKind.KEEP)
 
 
 def reweight(prev_epoch_losses: np.ndarray) -> WeightVector:

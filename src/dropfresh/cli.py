@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import scheduler
 from .config import (ConfigError, apply_preset, build_experiment_config,
@@ -74,11 +75,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         acc = "n/a" if row.final_accuracy is None else f"{row.final_accuracy:.6f}"
         print(f"{row.label},{row.cost_ratio!r},{acc},{delta}")
     if args.out is not None:
-        payload = [{"label": r.label, "cost_ratio": r.cost_ratio,
-                    "final_accuracy": r.final_accuracy,
-                    "delta_accuracy": r.delta_accuracy} for r in rows]
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+            json.dump([asdict(r) for r in rows], fh, sort_keys=True, indent=2)
             fh.write("\n")
     return 0
 

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -76,17 +76,6 @@ class EpochRecord:
     cumulative_examples_used: int
     action: str
 
-    def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "active_count": self.active_count,
-            "mean_train_loss": self.mean_train_loss,
-            "validation_accuracy": self.validation_accuracy,
-            "learning_rate": self.learning_rate,
-            "cumulative_examples_used": self.cumulative_examples_used,
-            "action": self.action,
-        }
-
 
 @dataclass(frozen=True)
 class RunReport:
@@ -97,18 +86,14 @@ class RunReport:
     wall_clock_seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "config": dict(self.config_echo),
-            "records": [r.to_dict() for r in self.records],
-            "final_validation_accuracy": self.final_validation_accuracy,
-            "realized_cost_ratio": self.realized_cost_ratio,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
+        out = asdict(self)
+        out["config"] = out.pop("config_echo")
+        return out
 
 
 def metrics_lines(records: Sequence[EpochRecord]) -> list[str]:
     """One sorted-key JSON object per epoch; stable across identical runs."""
-    return [json.dumps(r.to_dict(), sort_keys=True) for r in records]
+    return [json.dumps(asdict(r), sort_keys=True) for r in records]
 
 
 def run_experiment_with_params(cfg: ExperimentConfig) -> tuple[RunReport, ParamSet]:
@@ -116,7 +101,7 @@ def run_experiment_with_params(cfg: ExperimentConfig) -> tuple[RunReport, ParamS
     train_set, val_set = load_dataset(cfg.data, cfg.run_seed)
     layers = [train_set.dim, *cfg.hidden_layers, train_set.class_count]
     params = init_params(layers, cfg.run_seed)
-    velocity: ParamSet | None = None
+    velocity = ParamSet.zeros_like(params)
     state = scheduler.init(cfg.dar, train_set.n)
     weights = None  # reweight policy only
     records: list[EpochRecord] = []
@@ -131,28 +116,28 @@ def run_experiment_with_params(cfg: ExperimentConfig) -> tuple[RunReport, ParamS
                                                 cfg.run_seed, epoch):
             batch = datasets.make_batch(train_set, batch_ids, cfg.data.augment, epoch_key)
             ids = np.asarray(batch.ids)
+            sample_weights = weights.values[ids] if weights is not None else None
             try:
-                out = model.softmax_xent(model.forward(params, batch.features), batch.labels)
-                ledger.record(ids, out.per_example_loss)
-            except ValueError as exc:
+                # an overflow anywhere in the loss, gradients or update raises here
+                with np.errstate(over="raise", invalid="raise"):
+                    losses, grads = model.loss_and_gradients(
+                        params, batch.features, batch.labels, cfg.train.weight_decay,
+                        sample_weights)
+                    ledger.record(ids, losses)
+                    model.sgd_step(params, grads, cfg.train, epoch, velocity)
+            except (ValueError, FloatingPointError) as exc:
                 raise HarnessError(
                     f"epoch {epoch}, examples {batch.ids[:3]}...: {exc}") from exc
-            sample_weights = weights.values[ids] if weights is not None else None
-            grads = model.backward(params, batch.features, batch.labels,
-                                   weight_decay=cfg.train.weight_decay,
-                                   sample_weights=sample_weights)
-            params, velocity = model.sgd_step(params, grads, cfg.train, epoch, velocity)
 
         active_count = len(state.active_ids)
         cumulative += active_count
         mean_loss = ledger.mean()
         val_acc = evaluate(params, val_set) if val_set is not None else None
 
+        if cfg.policy == "reweight":
+            weights = reweight(ledger.losses)
         if cfg.policy == "dar":
             state, action = scheduler.end_of_epoch(state, cfg.dar, ledger)
-        elif cfg.policy == "reweight":
-            weights = reweight(ledger.losses)
-            state, action = uniform_policy(state)
         else:
             state, action = uniform_policy(state)
 

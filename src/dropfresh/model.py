@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,15 +126,9 @@ def forward(params: ParamSet, features: np.ndarray) -> np.ndarray:
     return _forward_pass(params, _check_features(params, features))[-1]
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 @dataclass
 class BatchOutput:
-    logits: np.ndarray
+    probabilities: np.ndarray
     per_example_loss: np.ndarray
     mean_loss: float
 
@@ -150,7 +145,7 @@ def _check_labels(labels: np.ndarray, batch: int, classes: int) -> np.ndarray:
 
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray) -> BatchOutput:
-    """Cross-entropy via the max-shifted log-sum-exp, so large logits stay finite."""
+    """Cross-entropy and softmax from one max-shifted exponential; large logits stay finite."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
@@ -158,12 +153,48 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray) -> BatchOutput:
         raise ValueError("non-finite logits")
     labels = _check_labels(labels, logits.shape[0], logits.shape[1])
     shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    losses = lse - shifted[np.arange(len(labels)), labels]
+    e = np.exp(shifted)
+    total = e.sum(axis=1)
+    losses = np.log(total) - shifted[np.arange(len(labels)), labels]
     # log-sum-exp >= the picked logit, so clamp only absorbs rounding dust
     losses = np.maximum(losses, 0.0)
-    return BatchOutput(logits=logits, per_example_loss=losses,
+    return BatchOutput(probabilities=e / total[:, None], per_example_loss=losses,
                        mean_loss=float(losses.mean()))
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax: ``softmax_xent``'s probabilities, which no label changes."""
+    return softmax_xent(logits, np.zeros(len(logits), dtype=np.int64)).probabilities
+
+
+class Gradients(NamedTuple):  # a ParamSet's layout without its checks
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
+
+
+def loss_and_gradients(params: ParamSet, features: np.ndarray, labels: np.ndarray,
+                       weight_decay: float,
+                       sample_weights: np.ndarray | None) -> tuple[np.ndarray, Gradients]:
+    """Per-example losses and ``backward``'s gradients from one forward pass.
+
+    Arguments are not re-checked: ``backward`` checks them, and the harness
+    takes them from a dataset and a weight vector that were checked when built.
+    """
+    acts = _forward_pass(params, features)
+    out = softmax_xent(acts[-1], labels)
+    batch = features.shape[0]
+    delta = out.probabilities
+    delta[np.arange(batch), labels] -= 1.0
+    if sample_weights is not None:
+        delta *= sample_weights[:, None]
+    delta /= batch
+    grad_w, grad_b = [], []  # last layer first
+    for layer in range(len(params.weights) - 1, -1, -1):
+        grad_w.append(delta.T @ acts[layer] + weight_decay * params.weights[layer])
+        grad_b.append(delta.sum(axis=0))
+        if layer > 0:
+            delta = (delta @ params.weights[layer]) * (acts[layer] > 0.0)
+    return out.per_example_loss, Gradients(grad_w[::-1], grad_b[::-1])
 
 
 def backward(params: ParamSet, features: np.ndarray, labels: np.ndarray,
@@ -174,50 +205,33 @@ def backward(params: ParamSet, features: np.ndarray, labels: np.ndarray,
     The objective is ``(1/B) sum_i w_i * loss_i + (decay/2) * sum ||W||^2``;
     biases are not decayed.
     """
-    features = _check_features(params, features)
-    labels = _check_labels(labels, features.shape[0], params.weights[-1].shape[0])
+    features = _check_features(params, features)  # labels are checked by softmax_xent
     if weight_decay < 0.0:
         raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-    batch = features.shape[0]
     if sample_weights is not None:
         sample_weights = np.asarray(sample_weights, dtype=np.float64)
-        if sample_weights.shape != (batch,):
-            raise ValueError(f"sample_weights shape {sample_weights.shape} != ({batch},)")
+        if sample_weights.shape != features.shape[:1]:
+            raise ValueError(f"sample_weights shape {sample_weights.shape} != ({len(features)},)")
         if not np.isfinite(sample_weights).all() or (sample_weights < 0).any():
             raise ValueError("sample_weights must be finite and >= 0")
-
-    acts = _forward_pass(params, features)
-    delta = softmax(acts[-1])
-    delta[np.arange(batch), labels] -= 1.0
-    if sample_weights is not None:
-        delta *= sample_weights[:, None]
-    delta /= batch
-
-    grad_w: list[np.ndarray] = [None] * len(params.weights)  # type: ignore[list-item]
-    grad_b: list[np.ndarray] = [None] * len(params.biases)  # type: ignore[list-item]
-    for layer in range(len(params.weights) - 1, -1, -1):
-        grad_w[layer] = delta.T @ acts[layer] + weight_decay * params.weights[layer]
-        grad_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ params.weights[layer]) * (acts[layer] > 0.0)
-    return ParamSet(grad_w, grad_b)
+    return ParamSet(*loss_and_gradients(params, features, labels, weight_decay,
+                                        sample_weights)[1])
 
 
-def sgd_step(params: ParamSet, grads: ParamSet, hyper: TrainHyper, epoch: int,
+def sgd_step(params: ParamSet, grads: ParamSet | Gradients, hyper: TrainHyper, epoch: int,
              velocity: ParamSet | None = None) -> tuple[ParamSet, ParamSet]:
-    """One momentum update: v <- m*v + g, w <- w - lr(epoch)*v."""
+    """In-place momentum update v <- m*v + g, w <- w - lr(epoch)*v; returns (params, v)."""
     if [w.shape for w in grads.weights] != [w.shape for w in params.weights]:
         raise ValueError("gradient shapes do not match parameters")
     if velocity is None:
         velocity = ParamSet.zeros_like(params)
     lr = lr_at(hyper, epoch)
-    new_v = ParamSet(
-        [hyper.momentum * v + g for v, g in zip(velocity.weights, grads.weights)],
-        [hyper.momentum * v + g for v, g in zip(velocity.biases, grads.biases)])
-    new_p = ParamSet(
-        [w - lr * v for w, v in zip(params.weights, new_v.weights)],
-        [b - lr * v for b, v in zip(params.biases, new_v.biases)])
-    return new_p, new_v
+    for w, v, g in zip(params.weights + params.biases, velocity.weights + velocity.biases,
+                       grads.weights + grads.biases):
+        v *= hyper.momentum
+        v += g
+        w -= lr * v
+    return params, velocity
 
 
 def predict(params: ParamSet, features: np.ndarray) -> np.ndarray:

@@ -18,6 +18,14 @@ def test_uniform_policy_restores_full_pool():
     assert new_state.epoch == 4
 
 
+def test_uniform_policy_returns_a_full_pool_state_as_is():
+    state = SchedulerState(epoch=4, cycle_start=2, last_drop=3,
+                           active_ids=tuple(range(8)), population=8)
+    new_state, action = uniform_policy(state)
+    assert new_state is state
+    assert action.kind is ActionKind.KEEP
+
+
 def test_reweight_worked_example():
     weights = reweight(np.array([0.0, 1.0, 3.0]))
     # scaled by the mean 4/3, floored at 1e-3, renormalized

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dropfresh
 from dropfresh.cli import main
 from dropfresh.scheduler import DarConfig, planned_cost
 
@@ -170,6 +175,25 @@ def test_export_features_rejects_sidecar_without_layer_sizes(write_config, tmp_p
     payload = json.loads(err[0])
     assert payload["error"] == "HarnessError"
     assert "model.json" in payload["message"]
+
+
+def test_train_overflow_is_one_json_line_on_stderr(write_config, tmp_path):
+    data = tmp_path / "overflow.csv"
+    data.write_text("".join(f"{i % 2},1e200,1.0\n" for i in range(4)))
+    path = write_config({"data.source": "csv", "data.csv": str(data),
+                         "train.total_epochs": "1", "train.base_lr": "1e300",
+                         "train.batch_size": "4"})
+    src = str(Path(dropfresh.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run([sys.executable, "-m", "dropfresh.cli", "train", "--config",
+                           str(path)], capture_output=True, text=True, env=env)
+    assert done.returncode == 1
+    err = done.stderr.splitlines()
+    assert len(err) == 1, done.stderr
+    payload = json.loads(err[0])
+    assert payload["error"] == "HarnessError"
+    assert "epoch 1" in payload["message"]
 
 
 def test_export_features_rejects_bad_data_spec(capsys, tmp_path):

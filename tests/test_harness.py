@@ -157,6 +157,20 @@ def test_non_finite_loss_aborts_with_context(tmp_path):
         run_experiment(cfg)
 
 
+def overflow_values(tmp_path):
+    """One epoch, one batch: features of 1e200 and a learning rate of 1e300
+    overflow on the only update, while the loss and gradients stay finite."""
+    path = tmp_path / "overflow.csv"
+    path.write_text("".join(f"{i % 2},1e200,1.0\n" for i in range(4)))
+    return {"data.source": "csv", "data.csv": str(path), "train.total_epochs": "1",
+            "train.base_lr": "1e300", "train.batch_size": "4"}
+
+
+def test_overflowing_update_raises_harness_error(tmp_path):
+    with pytest.raises(HarnessError, match="epoch 1, examples .*overflow"):
+        run_experiment(build_experiment_config(overflow_values(tmp_path)))
+
+
 def test_evaluate_accuracy():
     params = ParamSet([np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
     ds = Dataset(np.array([[2.0, 0.0], [0.0, 2.0], [3.0, 0.0], [0.0, 1.0]]),

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from dropfresh.model import (BatchOutput, ParamSet, TrainHyper, backward, forward,
                              init_params, lr_at, penultimate_features, predict,
                              sgd_step, softmax, softmax_xent)
+from dropfresh.model import loss_and_gradients
 
 import oracles
 
@@ -259,3 +260,40 @@ def test_penultimate_features():
     assert (embedded >= 0.0).all()  # ReLU output
     shallow = single_layer(rng.normal(size=(2, 3)), np.zeros(2))
     assert np.array_equal(penultimate_features(shallow, feats), forward(shallow, feats))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fused_step_matches_separate_calls_bit_for_bit(seed):
+    rng = np.random.default_rng([seed, 77])
+    depth = 1 + seed % 3  # 1 is no hidden layer
+    sizes = [int(rng.integers(1, 9)) for _ in range(depth)] + [int(rng.integers(2, 6))]
+    params = ParamSet([rng.normal(size=(fan_out, fan_in))
+                       for fan_in, fan_out in zip(sizes, sizes[1:])],
+                      [rng.normal(size=fan_out) for fan_out in sizes[1:]])
+    batch = int(rng.integers(1, 10))
+    features = rng.normal(size=(batch, sizes[0]))
+    labels = rng.integers(0, sizes[-1], size=batch)
+    decay = 0.0 if seed % 2 else 0.01
+    sample_weights = rng.uniform(0.1, 3.0, size=batch) if seed % 4 < 2 else None
+
+    losses, grads = loss_and_gradients(params, features, labels, decay, sample_weights)
+    expected = softmax_xent(forward(params, features), labels).per_example_loss
+    assert losses.tobytes() == expected.tobytes()
+    separate = backward(params, features, labels, weight_decay=decay,
+                        sample_weights=sample_weights)
+    for got, want in zip(grads.weights + grads.biases, separate.weights + separate.biases):
+        assert got.tobytes() == want.tobytes()
+
+    hyper = TrainHyper(base_lr=0.3, momentum=0.9)
+    velocity = ParamSet([rng.normal(size=w.shape) for w in params.weights],
+                        [rng.normal(size=b.shape) for b in params.biases])
+    before_p, before_v = params.copy(), velocity.copy()
+    new_p, new_v = sgd_step(params, grads, hyper, epoch=1, velocity=velocity)
+    assert new_p is params and new_v is velocity
+    for w, v, w0, v0, g in zip(params.weights + params.biases,
+                               velocity.weights + velocity.biases,
+                               before_p.weights + before_p.biases,
+                               before_v.weights + before_v.biases,
+                               grads.weights + grads.biases):
+        assert v.tobytes() == (0.9 * v0 + g).tobytes()
+        assert w.tobytes() == (w0 - 0.3 * (0.9 * v0 + g)).tobytes()
