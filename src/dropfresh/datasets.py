@@ -245,63 +245,62 @@ def epoch_seed(run_seed: int, epoch: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
+def _augment_rows(rows: np.ndarray, policy: AugmentPolicy, epoch_key: int,
+                  ids: list[int], image_shape: tuple[int, int, int] | None) -> np.ndarray:
+    """Transform rows (n, d) in place, row j keyed by (epoch_key, ids[j]); returns rows."""
+    if isinstance(policy, NoAugment) or policy == GaussianNoise(0.0):
+        return rows
+    rngs = [np.random.default_rng([epoch_key, i]) for i in ids]
+    if isinstance(policy, GaussianNoise):
+        rows += policy.sigma * np.stack([rng.standard_normal(rows.shape[1]) for rng in rngs])
+        return rows
+    if isinstance(policy, HorizontalFlip):
+        if image_shape is None:
+            raise DatasetError("horizontal flip needs image-shaped data")
+        h, w, c = image_shape
+        if h * w * c != rows.shape[1]:
+            raise DatasetError(
+                f"image_shape {image_shape} does not flatten to {rows.shape[1]}")
+        flips = np.array([rng.random() < policy.prob for rng in rngs], dtype=bool)
+        rows[flips] = rows[flips].reshape(-1, h, w, c)[:, :, ::-1].reshape(-1, h * w * c)
+        return rows
+    raise DatasetError(f"unknown augmentation policy: {policy!r}")
+
+
 def augment(features: np.ndarray, policy: AugmentPolicy, epoch_key: int,
             example_id: int, image_shape: tuple[int, int, int] | None = None) -> np.ndarray:
     """Transform one example vector; keyed by (epoch_key, example_id) only."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 1:
         raise DatasetError(f"augment expects one example vector, got shape {features.shape}")
-    if isinstance(policy, NoAugment):
-        return features
-    if isinstance(policy, GaussianNoise):
-        if policy.sigma == 0.0:
-            return features
-        rng = np.random.default_rng([int(epoch_key), int(example_id)])
-        return features + policy.sigma * rng.standard_normal(features.shape)
-    if isinstance(policy, HorizontalFlip):
-        if image_shape is None:
-            raise DatasetError("horizontal flip needs image-shaped data")
-        h, w, c = image_shape
-        if h * w * c != features.shape[0]:
-            raise DatasetError(
-                f"image_shape {image_shape} does not flatten to {features.shape[0]}")
-        rng = np.random.default_rng([int(epoch_key), int(example_id)])
-        if rng.random() < policy.prob:
-            return features.reshape(h, w, c)[:, ::-1, :].reshape(-1).copy()
-        return features
-    raise DatasetError(f"unknown augmentation policy: {policy!r}")
+    return _augment_rows(features[None, :].copy(), policy, int(epoch_key), [int(example_id)],
+                         image_shape)[0]
 
 
 def epoch_batches(active_ids: Sequence[int], batch_size: int, run_seed: int,
-                  epoch: int) -> list[tuple[int, ...]]:
-    """Shuffled batch plan over the active ids; the tail batch may be short."""
+                  epoch: int) -> list[np.ndarray]:
+    """Shuffled batch plan: int64 slices of one permutation; the tail may be short."""
     if batch_size < 1:
         raise DatasetError(f"batch_size must be >= 1, got {batch_size}")
-    ids = np.asarray(list(active_ids), dtype=np.int64)
+    ids = np.asarray(active_ids, dtype=np.int64)
     if ids.size == 0:
         raise DatasetError("active_ids must not be empty")
     rng = np.random.default_rng([int(run_seed), _BATCH_STREAM, int(epoch)])
     order = rng.permutation(ids)
-    return [tuple(int(i) for i in order[lo:lo + batch_size])
-            for lo in range(0, len(order), batch_size)]
+    return [order[lo:lo + batch_size] for lo in range(0, len(order), batch_size)]
 
 
 @dataclass
 class Batch:
-    ids: tuple[int, ...]
+    ids: np.ndarray
     features: np.ndarray
     labels: np.ndarray
 
 
 def make_batch(dataset: Dataset, ids: Sequence[int], policy: AugmentPolicy,
                epoch_key: int) -> Batch:
-    """Materialize one batch, applying the augmentation policy per example."""
-    ids = tuple(int(i) for i in ids)
-    labels = dataset.labels[list(ids)].copy()
-    if isinstance(policy, NoAugment):
-        features = dataset.features[list(ids)].copy()
-    else:
-        features = np.stack([
-            augment(dataset.features[i], policy, epoch_key, i, dataset.image_shape)
-            for i in ids])
-    return Batch(ids=ids, features=features, labels=labels)
+    """Materialize one batch with one gather, applying the augmentation per example."""
+    ids = np.asarray(ids, dtype=np.int64)
+    features = _augment_rows(dataset.features[ids], policy, int(epoch_key), ids.tolist(),
+                             dataset.image_shape)
+    return Batch(ids=ids, features=features, labels=dataset.labels[ids])

@@ -115,19 +115,18 @@ def run_experiment_with_params(cfg: ExperimentConfig) -> tuple[RunReport, ParamS
         for batch_ids in datasets.epoch_batches(state.active_ids, cfg.batch_size,
                                                 cfg.run_seed, epoch):
             batch = datasets.make_batch(train_set, batch_ids, cfg.data.augment, epoch_key)
-            ids = np.asarray(batch.ids)
-            sample_weights = weights.values[ids] if weights is not None else None
+            sample_weights = weights.values[batch.ids] if weights is not None else None
             try:
                 # an overflow anywhere in the loss, gradients or update raises here
                 with np.errstate(over="raise", invalid="raise"):
                     losses, grads = model.loss_and_gradients(
                         params, batch.features, batch.labels, cfg.train.weight_decay,
                         sample_weights)
-                    ledger.record(ids, losses)
+                    ledger.record(batch.ids, losses)
                     model.sgd_step(params, grads, cfg.train, epoch, velocity)
             except (ValueError, FloatingPointError) as exc:
                 raise HarnessError(
-                    f"epoch {epoch}, examples {batch.ids[:3]}...: {exc}") from exc
+                    f"epoch {epoch}, examples {batch.ids[:3].tolist()}...: {exc}") from exc
 
         active_count = len(state.active_ids)
         cumulative += active_count
@@ -190,7 +189,9 @@ def load_params(path: Union[str, Path]) -> ParamSet:
         raise HarnessError(f"{sidecar}: shape sidecar not found") from None
     if not isinstance(meta, dict) or not isinstance(meta.get("layer_sizes"), list):
         raise HarnessError(f"{sidecar}: no layer_sizes list in the shape sidecar")
-    sizes = [int(s) for s in meta["layer_sizes"]]
+    sizes = meta["layer_sizes"]
+    if len(sizes) < 2 or any(type(s) is not int or s < 1 for s in sizes):
+        raise HarnessError(f"{sidecar}: layer_sizes {sizes!r} are not two or more positive ints")
     flat = np.frombuffer(path.read_bytes(), dtype="<f8").astype(np.float64)
     expected = sum(fi * fo + fo for fi, fo in zip(sizes, sizes[1:]))
     if flat.size != expected:
@@ -269,10 +270,8 @@ def export_features(params: ParamSet, dataset: Dataset, path: Union[str, Path]) 
     """CSV of per-example embeddings: last hidden activations, else logits."""
     feats = model.penultimate_features(params, dataset.features)
     lines = ["id,label," + ",".join(f"f{j}" for j in range(feats.shape[1]))]
-    for i in range(dataset.n):
-        cells = [str(i), str(int(dataset.labels[i]))]
-        cells.extend(repr(float(x)) for x in feats[i])
-        lines.append(",".join(cells))
+    for i, (label, row) in enumerate(zip(dataset.labels.tolist(), feats)):
+        lines.append(f"{i},{label}," + ",".join(map(repr, row.tolist())))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(path, "\n".join(lines) + "\n")

@@ -144,22 +144,27 @@ def _check_labels(labels: np.ndarray, batch: int, classes: int) -> np.ndarray:
     return labels.astype(np.int64)
 
 
+def _xent_core(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax and per-example cross-entropy from one max-shifted exponential; unchecked."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1)
+    losses = np.log(total) - shifted[np.arange(len(labels)), labels]
+    e /= total[:, None]
+    # log-sum-exp >= the picked logit, so clamp only absorbs rounding dust
+    return e, np.maximum(losses, 0.0)
+
+
 def softmax_xent(logits: np.ndarray, labels: np.ndarray) -> BatchOutput:
-    """Cross-entropy and softmax from one max-shifted exponential; large logits stay finite."""
+    """Checked cross-entropy and softmax; large logits stay finite."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
     if not np.isfinite(logits).all():
         raise ValueError("non-finite logits")
     labels = _check_labels(labels, logits.shape[0], logits.shape[1])
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=1)
-    losses = np.log(total) - shifted[np.arange(len(labels)), labels]
-    # log-sum-exp >= the picked logit, so clamp only absorbs rounding dust
-    losses = np.maximum(losses, 0.0)
-    return BatchOutput(probabilities=e / total[:, None], per_example_loss=losses,
-                       mean_loss=float(losses.mean()))
+    probabilities, losses = _xent_core(logits, labels)
+    return BatchOutput(probabilities, losses, float(losses.mean()))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -181,9 +186,10 @@ def loss_and_gradients(params: ParamSet, features: np.ndarray, labels: np.ndarra
     takes them from a dataset and a weight vector that were checked when built.
     """
     acts = _forward_pass(params, features)
-    out = softmax_xent(acts[-1], labels)
+    if not np.isfinite(acts[-1]).all():
+        raise ValueError("non-finite logits")
+    delta, losses = _xent_core(acts[-1], labels)
     batch = features.shape[0]
-    delta = out.probabilities
     delta[np.arange(batch), labels] -= 1.0
     if sample_weights is not None:
         delta *= sample_weights[:, None]
@@ -194,7 +200,7 @@ def loss_and_gradients(params: ParamSet, features: np.ndarray, labels: np.ndarra
         grad_b.append(delta.sum(axis=0))
         if layer > 0:
             delta = (delta @ params.weights[layer]) * (acts[layer] > 0.0)
-    return out.per_example_loss, Gradients(grad_w[::-1], grad_b[::-1])
+    return losses, Gradients(grad_w[::-1], grad_b[::-1])
 
 
 def backward(params: ParamSet, features: np.ndarray, labels: np.ndarray,
@@ -205,7 +211,8 @@ def backward(params: ParamSet, features: np.ndarray, labels: np.ndarray,
     The objective is ``(1/B) sum_i w_i * loss_i + (decay/2) * sum ||W||^2``;
     biases are not decayed.
     """
-    features = _check_features(params, features)  # labels are checked by softmax_xent
+    features = _check_features(params, features)
+    labels = _check_labels(labels, features.shape[0], params.weights[-1].shape[0])
     if weight_decay < 0.0:
         raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
     if sample_weights is not None:

@@ -14,6 +14,7 @@ applies what :func:`end_of_epoch` returns. :func:`trace` and
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -103,8 +104,10 @@ class SchedulerState:
             raise ValueError("active_ids must be strictly ascending")
 
     def next_epoch(self) -> "SchedulerState":
-        """Advance the epoch counter before training the next epoch."""
-        return replace(self, epoch=self.epoch + 1)
+        """Advance the epoch counter; nothing else changes, so nothing is re-checked."""
+        state = copy.copy(self)
+        object.__setattr__(state, "epoch", self.epoch + 1)
+        return state
 
 
 class LossLedger:

@@ -177,6 +177,27 @@ def test_export_features_rejects_sidecar_without_layer_sizes(write_config, tmp_p
     assert "model.json" in payload["message"]
 
 
+
+@pytest.mark.parametrize("layer_sizes", [[None, 3, 2], [[4], 3, 2], [4, 3, -2],
+                                         [True, 3, 2], [4.0, 3, 2], [4]])
+def test_export_features_rejects_bad_layer_sizes(write_config, tmp_path, capsys,
+                                                 layer_sizes):
+    path = write_config(run_values())
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--out", str(out_dir)]) == 0
+    sidecar = out_dir / "model.json"
+    meta = json.loads(sidecar.read_text())
+    meta["layer_sizes"] = layer_sizes
+    sidecar.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert main(["export-features", "--model", str(out_dir / "model.bin"),
+                 "--data", f"config:{path}", "--out", str(tmp_path / "f.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "HarnessError"
+    assert "model.json" in payload["message"] and "layer_sizes" in payload["message"]
+
 def test_train_overflow_is_one_json_line_on_stderr(write_config, tmp_path):
     data = tmp_path / "overflow.csv"
     data.write_text("".join(f"{i % 2},1e200,1.0\n" for i in range(4)))

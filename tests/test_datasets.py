@@ -238,16 +238,17 @@ def test_epoch_batches_partition():
 
 def test_epoch_batches_deterministic_per_epoch():
     ids = tuple(range(40))
-    assert epoch_batches(ids, 7, run_seed=4, epoch=2) == \
-        epoch_batches(ids, 7, run_seed=4, epoch=2)
-    assert epoch_batches(ids, 7, run_seed=4, epoch=2) != \
-        epoch_batches(ids, 7, run_seed=4, epoch=3)
-    assert epoch_batches(ids, 7, run_seed=5, epoch=2) != \
-        epoch_batches(ids, 7, run_seed=4, epoch=2)
+
+    def plan(run_seed, epoch):
+        return [b.tolist() for b in epoch_batches(ids, 7, run_seed=run_seed, epoch=epoch)]
+
+    assert plan(4, 2) == plan(4, 2)
+    assert plan(4, 2) != plan(4, 3)
+    assert plan(5, 2) != plan(4, 2)
 
 
 def test_epoch_batches_edge_sizes():
-    assert epoch_batches((4,), 10, 0, 1) == [(4,)]
+    assert [b.tolist() for b in epoch_batches((4,), 10, 0, 1)] == [[4]]
     singles = epoch_batches((1, 2, 3), 1, 0, 1)
     assert [len(b) for b in singles] == [1, 1, 1]
 
@@ -278,7 +279,7 @@ def test_make_batch_gathers_and_copies():
                  class_count=3)
     batch = make_batch(ds, (5, 0, 2), NoAugment(), epoch_key=0)
     assert isinstance(batch, Batch)
-    assert batch.ids == (5, 0, 2)
+    assert batch.ids.tolist() == [5, 0, 2]
     assert np.array_equal(batch.features, ds.features[[5, 0, 2]])
     assert np.array_equal(batch.labels, [2, 0, 2])
     batch.features[0, 0] = -1.0
@@ -296,3 +297,27 @@ def test_make_batch_applies_augmentation_per_example():
     # batch membership does not change the transform an example receives
     solo = make_batch(ds, (2,), GaussianNoise(sigma=1.0), key)
     assert np.array_equal(solo.features[0], batch.features[1])
+
+
+def test_epoch_batches_are_int64_slices():
+    batches = epoch_batches(range(10), 4, run_seed=0, epoch=1)
+    assert all(b.dtype == np.int64 for b in batches)
+    assert all(b.base is batches[0].base is not None for b in batches)  # one permutation
+
+
+def test_make_batch_applies_flip_per_example():
+    ds = Dataset(np.arange(48.0).reshape(8, 6), np.arange(8) % 2, class_count=2,
+                 image_shape=(2, 3, 1))
+    policy = HorizontalFlip(prob=0.5)
+    key = epoch_seed(0, 1)
+    ids = list(range(8))
+    batch = make_batch(ds, ids, policy, key)
+    rows = [augment(ds.features[i], policy, key, i, ds.image_shape) for i in ids]
+    assert np.array_equal(batch.features, np.stack(rows))
+    flipped = [i for i in ids if not np.array_equal(rows[i], ds.features[i])]
+    assert 0 < len(flipped) < len(ids)  # both branches are exercised
+    # batch membership does not change the transform an example receives
+    for i in ids:
+        solo = make_batch(ds, [i], policy, key)
+        assert np.array_equal(solo.features[0], batch.features[i])
+    assert np.array_equal(ds.features, np.arange(48.0).reshape(8, 6))

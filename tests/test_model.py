@@ -194,6 +194,19 @@ def test_backward_sample_weight_validation():
         backward(params, features, labels, sample_weights=np.array([1.0, -1.0]))
 
 
+
+def test_backward_label_validation():
+    params = single_layer([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+    features = np.ones((2, 2))
+    with pytest.raises(ValueError, match="labels must lie"):
+        backward(params, features, np.array([0, 2]))
+    with pytest.raises(ValueError, match="labels must lie"):
+        backward(params, features, np.array([-1, 0]))
+    with pytest.raises(ValueError, match="integers"):
+        backward(params, features, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="shape"):
+        backward(params, features, np.array([0]))
+
 def test_sgd_two_steps_frozen():
     # constant unit gradient, lr 1, momentum 0.9: positions 0 -> -1 -> -2.9
     params = single_layer([[0.0]], [0.0])

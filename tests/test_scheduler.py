@@ -219,6 +219,16 @@ def test_end_of_epoch_epoch_bounds():
         end_of_epoch(late, TOY, ledger)
 
 
+
+def test_next_epoch_advances_only_the_epoch():
+    state = init(TOY, 8)
+    after = state.next_epoch()
+    assert after.epoch == state.epoch + 1
+    assert after.active_ids is state.active_ids
+    assert (after.cycle_start, after.last_drop, after.population) == \
+        (state.cycle_start, state.last_drop, state.population)
+    assert state.epoch == 0
+
 def test_state_validation():
     with pytest.raises(ValueError, match="ascending"):
         SchedulerState(epoch=0, cycle_start=0, last_drop=0,
