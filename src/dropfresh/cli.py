@@ -101,7 +101,10 @@ def _dataset_from_spec(spec: str) -> Dataset:
 def _cmd_export_features(args: argparse.Namespace) -> int:
     params = load_params(args.model)
     dataset = _dataset_from_spec(args.data)
-    export_features(params, dataset, args.out)
+    try:
+        export_features(params, dataset, args.out)
+    except FloatingPointError as exc:
+        raise HarnessError(f"{args.model} on {args.data}: {exc}") from exc
     print(args.out)
     return 0
 

@@ -270,9 +270,7 @@ def build_experiment_config(values: Mapping[str, str]) -> ExperimentConfig:
     if batch_size < 1:
         raise ConfigError(f"train.batch_size must be >= 1, got {batch_size}")
 
-    hidden_raw = _get(values, "model.hidden")
-    hidden = () if hidden_raw is None or hidden_raw.lower() == "none" \
-        else _get_int_list(values, "model.hidden")
+    hidden = _get_int_list(values, "model.hidden")
     if any(h < 1 for h in hidden):
         raise ConfigError(f"model.hidden sizes must be >= 1, got {hidden}")
 

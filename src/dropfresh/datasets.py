@@ -3,7 +3,9 @@
 Randomness is split into named streams keyed off the run seed, so shuffling,
 augmentation, and synthetic sampling never share draws. Augmentation is keyed
 by (epoch seed, example id): an example's transform does not depend on which
-batch it landed in.
+batch it landed in. Its draws are a SplitMix64 counter hash of (epoch seed, id,
+draw index), computed over whole batches; flips are exact integer arithmetic,
+while noise (Box-Muller) also depends on the platform's log1p, cos and sin.
 """
 from __future__ import annotations
 
@@ -157,9 +159,7 @@ def load_csv(path: Union[str, Path], class_count: int | None = None) -> Dataset:
         labels.append(label)
     if not rows:
         raise DatasetError(f"{path}: no data rows")
-    resolved = max(labels) + 1 if class_count is None else class_count
-    if resolved < 2:
-        resolved = 2
+    resolved = max(2, max(labels) + 1 if class_count is None else class_count)
     return Dataset(np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64), resolved)
 
 
@@ -245,14 +245,32 @@ def epoch_seed(run_seed: int, epoch: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer over a uint64 array; array arithmetic wraps mod 2**64."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _uniforms(epoch_key: int, ids: np.ndarray, count: int) -> np.ndarray:
+    """(len(ids), count) 53-bit uniforms in [0, 1); entry [r, j] hashes (epoch_key, ids[r], j)."""
+    golden = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's counter increment
+    streams = _mix(_mix(np.array([epoch_key], dtype=np.uint64)) + ids.astype(np.uint64) * golden)
+    counters = np.arange(1, count + 1, dtype=np.uint64) * golden
+    return (_mix(streams[:, None] + counters) >> np.uint64(11)) * 2.0 ** -53
+
+
 def _augment_rows(rows: np.ndarray, policy: AugmentPolicy, epoch_key: int,
-                  ids: list[int], image_shape: tuple[int, int, int] | None) -> np.ndarray:
-    """Transform rows (n, d) in place, row j keyed by (epoch_key, ids[j]); returns rows."""
+                  ids: np.ndarray, image_shape: tuple[int, int, int] | None) -> np.ndarray:
+    """Transform rows (n, d) in place, row r keyed by (epoch_key, ids[r]); returns rows."""
     if isinstance(policy, NoAugment) or policy == GaussianNoise(0.0):
         return rows
-    rngs = [np.random.default_rng([epoch_key, i]) for i in ids]
     if isinstance(policy, GaussianNoise):
-        rows += policy.sigma * np.stack([rng.standard_normal(rows.shape[1]) for rng in rngs])
+        half = (rows.shape[1] + 1) // 2
+        u = _uniforms(epoch_key, ids, 2 * half)
+        radius, angle = np.sqrt(-2.0 * np.log1p(-u[:, :half])), 2.0 * np.pi * u[:, half:]
+        normals = np.hstack([radius * np.cos(angle), radius * np.sin(angle)])
+        rows += policy.sigma * normals[:, :rows.shape[1]]
         return rows
     if isinstance(policy, HorizontalFlip):
         if image_shape is None:
@@ -261,7 +279,7 @@ def _augment_rows(rows: np.ndarray, policy: AugmentPolicy, epoch_key: int,
         if h * w * c != rows.shape[1]:
             raise DatasetError(
                 f"image_shape {image_shape} does not flatten to {rows.shape[1]}")
-        flips = np.array([rng.random() < policy.prob for rng in rngs], dtype=bool)
+        flips = _uniforms(epoch_key, ids, 1)[:, 0] < policy.prob
         rows[flips] = rows[flips].reshape(-1, h, w, c)[:, :, ::-1].reshape(-1, h * w * c)
         return rows
     raise DatasetError(f"unknown augmentation policy: {policy!r}")
@@ -273,8 +291,8 @@ def augment(features: np.ndarray, policy: AugmentPolicy, epoch_key: int,
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 1:
         raise DatasetError(f"augment expects one example vector, got shape {features.shape}")
-    return _augment_rows(features[None, :].copy(), policy, int(epoch_key), [int(example_id)],
-                         image_shape)[0]
+    return _augment_rows(features[None, :].copy(), policy, int(epoch_key),
+                         np.array([int(example_id)], dtype=np.int64), image_shape)[0]
 
 
 def epoch_batches(active_ids: Sequence[int], batch_size: int, run_seed: int,
@@ -301,6 +319,6 @@ def make_batch(dataset: Dataset, ids: Sequence[int], policy: AugmentPolicy,
                epoch_key: int) -> Batch:
     """Materialize one batch with one gather, applying the augmentation per example."""
     ids = np.asarray(ids, dtype=np.int64)
-    features = _augment_rows(dataset.features[ids], policy, int(epoch_key), ids.tolist(),
+    features = _augment_rows(dataset.features[ids], policy, int(epoch_key), ids,
                              dataset.image_shape)
     return Batch(ids=ids, features=features, labels=dataset.labels[ids])

@@ -62,8 +62,9 @@ def load_dataset(data: DataConfig, run_seed: int) -> tuple[Dataset, Dataset | No
 
 
 def evaluate(params: ParamSet, dataset: Dataset) -> float:
-    """Plain accuracy; no augmentation is applied at evaluation time."""
-    return float(np.mean(model.predict(params, dataset.features) == dataset.labels))
+    """Plain accuracy; no augmentation is applied at evaluation time; overflow raises."""
+    with np.errstate(over="raise", invalid="raise"):
+        return float(np.mean(model.predict(params, dataset.features) == dataset.labels))
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,10 @@ def run_experiment_with_params(cfg: ExperimentConfig) -> tuple[RunReport, ParamS
         active_count = len(state.active_ids)
         cumulative += active_count
         mean_loss = ledger.mean()
-        val_acc = evaluate(params, val_set) if val_set is not None else None
+        try:
+            val_acc = evaluate(params, val_set) if val_set is not None else None
+        except FloatingPointError as exc:
+            raise HarnessError(f"epoch {epoch}, validation: {exc}") from exc
 
         if cfg.policy == "reweight":
             weights = reweight(ledger.losses)
@@ -192,8 +196,11 @@ def load_params(path: Union[str, Path]) -> ParamSet:
     sizes = meta["layer_sizes"]
     if len(sizes) < 2 or any(type(s) is not int or s < 1 for s in sizes):
         raise HarnessError(f"{sidecar}: layer_sizes {sizes!r} are not two or more positive ints")
-    flat = np.frombuffer(path.read_bytes(), dtype="<f8").astype(np.float64)
     expected = sum(fi * fo + fo for fi, fo in zip(sizes, sizes[1:]))
+    if meta.get("dtype") != "<f8" or meta.get("value_count") != expected:
+        raise HarnessError(f"{sidecar}: dtype {meta.get('dtype')!r} and value_count "
+                           f"{meta.get('value_count')!r} are not '<f8' and {expected}")
+    flat = np.frombuffer(path.read_bytes(), dtype="<f8").astype(np.float64)
     if flat.size != expected:
         raise HarnessError(f"{path}: expected {expected} doubles for layer sizes "
                            f"{sizes}, found {flat.size}")
@@ -267,8 +274,9 @@ def compare(cfgs: Sequence[ExperimentConfig]) -> list[CompareRow]:
 
 
 def export_features(params: ParamSet, dataset: Dataset, path: Union[str, Path]) -> None:
-    """CSV of per-example embeddings: last hidden activations, else logits."""
-    feats = model.penultimate_features(params, dataset.features)
+    """CSV of per-example embeddings: last hidden activations, else logits; overflow raises."""
+    with np.errstate(over="raise", invalid="raise"):
+        feats = model.penultimate_features(params, dataset.features)
     lines = ["id,label," + ",".join(f"f{j}" for j in range(feats.shape[1]))]
     for i, (label, row) in enumerate(zip(dataset.labels.tolist(), feats)):
         lines.append(f"{i},{label}," + ",".join(map(repr, row.tolist())))

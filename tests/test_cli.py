@@ -4,10 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dropfresh
 from dropfresh.cli import main
+from dropfresh.harness import save_params
+from dropfresh.model import ParamSet
 from dropfresh.scheduler import DarConfig, planned_cost
 
 TOY_VALUES = {
@@ -223,3 +226,51 @@ def test_export_features_rejects_bad_data_spec(capsys, tmp_path):
                  "--data", "parquet:x", "--out", str(tmp_path / "o.csv")]) == 1
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] in ("ConfigError", "HarnessError")
+
+
+@pytest.mark.parametrize("change", [{"dtype": ">i4", "value_count": 999}, {"dtype": ">i4"},
+                                    {"value_count": 999}, {"value_count": "39"},
+                                    {"dtype": None}, {"value_count": None}])
+def test_export_features_rejects_bad_dtype_or_value_count(write_config, tmp_path, capsys,
+                                                          change):
+    path = write_config(run_values())
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--out", str(out_dir)]) == 0
+    sidecar = out_dir / "model.json"
+    meta = json.loads(sidecar.read_text())
+    meta.update(change)  # a None value drops the key
+    sidecar.write_text(json.dumps({k: v for k, v in meta.items() if v is not None}))
+    capsys.readouterr()
+    assert main(["export-features", "--model", str(out_dir / "model.bin"),
+                 "--data", f"config:{path}", "--out", str(tmp_path / "f.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "HarnessError"
+    assert "model.json" in payload["message"]
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_export_features_overflow_is_one_json_line_on_stderr(tmp_path):
+    # finite parameters of 1e300 overflow in the second layer's matmul
+    huge = ParamSet([np.full((3, 4), 1e300), np.full((2, 3), 1e300)],
+                    [np.full(3, 1e300), np.full(2, 1e300)])
+    model = tmp_path / "model.bin"
+    save_params(huge, model)
+    data = tmp_path / "data.csv"
+    data.write_text("0,1,1,1,1\n1,1,1,1,1\n")
+    src = str(Path(dropfresh.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run([sys.executable, "-m", "dropfresh.cli", "export-features",
+                           "--model", str(model), "--data", f"csv:{data}",
+                           "--out", str(tmp_path / "f.csv")],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 1
+    err = done.stderr.splitlines()
+    assert len(err) == 1, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    payload = json.loads(err[0])
+    assert payload["error"] == "HarnessError"
+    assert "model.bin" in payload["message"] and "overflow" in payload["message"]
+    assert not (tmp_path / "f.csv").exists()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from dropfresh.datasets import (BadMagicError, Batch, CountMismatchError, Datase
                                 NoAugment, SyntheticSpec, TruncatedPayloadError,
                                 augment, epoch_batches, epoch_seed, gen_gaussian,
                                 load_csv, load_idx, make_batch, save_csv)
+from dropfresh.datasets import _mix, _uniforms
 
 
 def idx_image_bytes(images: np.ndarray) -> bytes:
@@ -321,3 +323,102 @@ def test_make_batch_applies_flip_per_example():
         solo = make_batch(ds, [i], policy, key)
         assert np.array_equal(solo.features[0], batch.features[i])
     assert np.array_equal(ds.features, np.arange(48.0).reshape(8, 6))
+
+
+def test_mix_matches_published_splitmix64_outputs():
+    # SplitMix64 seeded with 0 emits mix(k * golden) for k = 1, 2, 3, ...
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    outputs = _mix(np.arange(1, 4, dtype=np.uint64) * golden)
+    assert outputs.tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+def test_uniforms_depend_on_key_id_and_index_only():
+    ids = np.array([7, 0, 2**40, 7], dtype=np.int64)
+    u = _uniforms(12345, ids, 5)
+    assert u.shape == (4, 5) and u.dtype == np.float64
+    assert ((u >= 0.0) & (u < 1.0)).all()
+    assert np.array_equal(u[0], u[3])  # same id, same draws, wherever it sits
+    assert np.array_equal(u[:, :2], _uniforms(12345, ids, 2))  # a prefix of longer streams
+    assert np.array_equal(u[1:3], _uniforms(12345, ids[1:3], 5))
+    assert not np.array_equal(u, _uniforms(12346, ids, 5))
+    assert np.array_equal(u * 2.0 ** 53, np.floor(u * 2.0 ** 53))  # 53-bit grid
+
+
+def mix_reference(z: int) -> int:
+    """SplitMix64's finalizer on Python ints, wrapped to 64 bits by hand."""
+    mask = 2**64 - 1
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def test_uniforms_match_a_python_integer_reference():
+    golden, mask = 0x9E3779B97F4A7C15, 2**64 - 1
+    ids = [0, 1, 12345, 2**62, 2**63 - 1]
+    for key in (0, 7, 2**32 - 1):
+        u = _uniforms(key, np.array(ids, dtype=np.int64), 3)
+        for r, example_id in enumerate(ids):
+            stream = mix_reference((mix_reference(key) + example_id * golden) & mask)
+            for j in range(3):
+                draw = mix_reference((stream + (j + 1) * golden) & mask)
+                assert u[r, j] == (draw >> 11) / 2**53
+
+
+def test_gaussian_noise_is_box_muller_of_the_uniforms():
+    x = np.zeros(5)
+    u = _uniforms(99, np.array([4], dtype=np.int64), 6)[0]
+    # pair k is (u[k], u[3 + k]); the three cosine draws come first, then the sines
+    radius = [math.sqrt(-2.0 * math.log1p(-u[k])) for k in range(3)]
+    angle = [2.0 * math.pi * u[3 + k] for k in range(3)]
+    normals = ([r * math.cos(a) for r, a in zip(radius, angle)]
+               + [r * math.sin(a) for r, a in zip(radius, angle)])
+    assert np.allclose(augment(x, GaussianNoise(2.0), 99, 4), 2.0 * np.array(normals[:5]),
+                       rtol=1e-12, atol=1e-12)
+
+
+def flip_rate(prob: float, n: int = 100_000) -> float:
+    # each row is a 1x2 image [0, 1]; a flip turns it into [1, 0]
+    ds = Dataset(np.tile([0.0, 1.0], (n, 1)), np.arange(n) % 2, class_count=2,
+                 image_shape=(1, 2, 1))
+    batch = make_batch(ds, np.arange(n), HorizontalFlip(prob), epoch_seed(0, 1))
+    return float(batch.features[:, 0].mean())
+
+
+@pytest.mark.parametrize("prob", [0.5, 0.1])
+def test_flip_rate_matches_prob(prob):
+    n = 100_000
+    assert abs(flip_rate(prob, n) - prob) < 4 * math.sqrt(prob * (1 - prob) / n)
+
+
+def test_flip_prob_zero_never_and_one_always():
+    assert flip_rate(0.0) == 0.0
+    assert flip_rate(1.0) == 1.0
+
+
+@pytest.mark.parametrize("dim", [4, 3])
+def test_gaussian_noise_moments(dim):
+    n = 100_000
+    ds = Dataset(np.zeros((n, dim)), np.arange(n) % 2, class_count=2)
+    noise = make_batch(ds, np.arange(n), GaussianNoise(1.0), epoch_seed(0, 1)).features
+    # per column: mean 0 (sd 1/sqrt(n)) and variance 1 (sd sqrt(2/n)), 4 sigma
+    assert np.abs(noise.mean(axis=0)).max() < 4 / math.sqrt(n)
+    assert np.abs(noise.var(axis=0) - 1.0).max() < 4 * math.sqrt(2 / n)
+    # pooled fourth moment 3 (x**4 has variance 105 - 9 = 96)
+    assert abs((noise ** 4).mean() - 3.0) < 4 * math.sqrt(96 / noise.size)
+    # columns are uncorrelated, the cos/sin pair of one draw included
+    corr = np.corrcoef(noise, rowvar=False)
+    assert np.abs(corr - np.eye(dim)).max() < 4 / math.sqrt(n)
+
+
+def test_extreme_ids_and_keys_augment_without_warnings():
+    x = np.arange(6.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for example_id in (2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1):
+            for key in (0, 2**32 - 1):
+                flipped = augment(x, HorizontalFlip(1.0), key, example_id, (2, 3, 1))
+                assert np.array_equal(flipped, [2, 1, 0, 5, 4, 3])
+                noisy = augment(x, GaussianNoise(1.0), key, example_id)
+                assert np.isfinite(noisy).all() and not np.array_equal(noisy, x)
+        ids = np.array([0, 2**62, 2**63 - 1], dtype=np.int64)
+        assert np.isfinite(_uniforms(2**32 - 1, ids, 3)).all()

@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from dropfresh import harness
 from dropfresh.config import build_experiment_config
 from dropfresh.datasets import Dataset, save_csv
 from dropfresh.harness import (CompareRow, HarnessError, compare, evaluate,
@@ -265,3 +267,40 @@ def test_export_features_csv(tmp_path):
 def test_training_population_counts_post_split():
     cfg = build_experiment_config(small_values())
     assert training_population(cfg) == 90
+
+
+def test_evaluate_overflow_raises_instead_of_warning(tmp_path):
+    huge = ParamSet([np.full((3, 2), 1e300), np.full((2, 3), 1e300)],
+                    [np.zeros(3), np.zeros(2)])
+    ds = Dataset(np.ones((2, 2)), np.array([0, 1]), class_count=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="overflow"):
+            evaluate(huge, ds)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            export_features(huge, ds, tmp_path / "f.csv")
+
+
+def test_validation_overflow_names_the_epoch(monkeypatch):
+    def overflowing(params, dataset):
+        raise FloatingPointError("overflow encountered in matmul")
+
+    monkeypatch.setattr(harness, "evaluate", overflowing)
+    with pytest.raises(HarnessError, match="epoch 1, validation: overflow"):
+        run_experiment(build_experiment_config(small_values()))
+
+
+def test_load_params_checks_dtype_and_value_count(tmp_path):
+    path = tmp_path / "model.bin"
+    save_params(init_params([2, 3, 2], seed=0), path)
+    sidecar = path.with_suffix(".json")
+    good = json.loads(sidecar.read_text())
+    assert good["dtype"] == "<f8" and good["value_count"] == 17
+    for change in ({"dtype": ">i4"}, {"value_count": 16}, {"value_count": 17.5},
+                   {"value_count": [17]}):
+        sidecar.write_text(json.dumps({**good, **change}))
+        with pytest.raises(HarnessError, match="model.json.*dtype"):
+            load_params(path)
+    sidecar.write_text(json.dumps({"layer_sizes": [2, 3, 2]}))
+    with pytest.raises(HarnessError, match="model.json"):
+        load_params(path)
