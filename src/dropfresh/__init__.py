@@ -9,15 +9,14 @@ from .harness import (CompareRow, EpochRecord, RunReport, compare,
                       export_features, run_experiment)
 from .model import (BatchOutput, ParamSet, TrainHyper, backward, forward,
                     init_params, lr_at, sgd_step, softmax_xent)
-from .scheduler import (ActionKind, DarConfig, EpochAction, LossLedger,
-                        SchedulerState, end_of_epoch, init, planned_cost,
-                        select_hardest, trace)
+from .scheduler import (ActionKind, DarConfig, LossLedger, SchedulerState,
+                        end_of_epoch, init, planned_cost, select_hardest, trace)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ActionKind", "Batch", "BatchOutput", "CompareRow", "DarConfig",
-    "DataConfig", "Dataset", "EpochAction", "EpochRecord", "ExperimentConfig",
+    "DataConfig", "Dataset", "EpochRecord", "ExperimentConfig",
     "GaussianNoise", "HorizontalFlip", "LossLedger", "NoAugment", "ParamSet",
     "RunReport", "SchedulerState", "SyntheticSpec", "TrainHyper",
     "WeightVector", "apply_preset", "augment", "backward",

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .scheduler import ActionKind, EpochAction, SchedulerState
+from .scheduler import ActionKind, SchedulerState
 
 WEIGHT_FLOOR = 1e-3
 _MEAN_TOL = 1e-12
@@ -36,11 +36,11 @@ class WeightVector:
             raise ValueError(f"weights must average to 1, got mean {mean!r}")
 
 
-def uniform_policy(state: SchedulerState) -> tuple[SchedulerState, EpochAction]:
+def uniform_policy(state: SchedulerState) -> tuple[SchedulerState, ActionKind]:
     """Keep the full pool every epoch; a state already holding it is returned as is."""
-    if len(state.active_ids) < state.population:
-        state = replace(state, active_ids=tuple(range(state.population)))
-    return state, EpochAction(ActionKind.KEEP)
+    if state.active_ids.size < state.population:
+        state = replace(state, active_ids=np.arange(state.population))
+    return state, ActionKind.KEEP
 
 
 def reweight(prev_epoch_losses: np.ndarray) -> WeightVector:

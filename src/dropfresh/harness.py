@@ -147,7 +147,7 @@ def run_experiment_with_params(cfg: ExperimentConfig) -> tuple[RunReport, ParamS
         records.append(EpochRecord(
             epoch=epoch, active_count=active_count, mean_train_loss=mean_loss,
             validation_accuracy=val_acc, learning_rate=lr_at(cfg.train, epoch),
-            cumulative_examples_used=cumulative, action=action.kind.value))
+            cumulative_examples_used=cumulative, action=action.value))
 
     report = RunReport(
         config_echo=dict(cfg.echo),

@@ -81,19 +81,20 @@ class SchedulerState:
 
     ``cycle_start`` is the epoch the current cycle was anchored at (warm-up
     end, or the latest refresh); ``last_drop`` is the most recent epoch a
-    drop was attempted, which paces the drop interval.
+    drop was attempted, which paces the drop interval. ``active_ids`` is
+    stored as a strictly ascending, read-only int64 copy of what was passed.
     """
 
     epoch: int
     cycle_start: int
     last_drop: int
-    active_ids: tuple[int, ...]
+    active_ids: np.ndarray
     population: int
 
     def __post_init__(self) -> None:
         if self.population < 1:
             raise ValueError(f"population must be >= 1, got {self.population}")
-        ids = np.asarray(self.active_ids, dtype=np.int64)
+        ids = np.array(self.active_ids, dtype=np.int64)
         if ids.size == 0:
             raise ValueError("active_ids must not be empty")
         outside = (ids < 0) | (ids >= self.population)
@@ -102,6 +103,8 @@ class SchedulerState:
                 f"active id {ids[outside.argmax()]} outside [0, {self.population})")
         if (np.diff(ids) <= 0).any():
             raise ValueError("active_ids must be strictly ascending")
+        ids.flags.writeable = False
+        object.__setattr__(self, "active_ids", ids)
 
     def next_epoch(self) -> "SchedulerState":
         """Advance the epoch counter; nothing else changes, so nothing is re-checked."""
@@ -147,35 +150,12 @@ class LossLedger:
             self.losses = grown
         self.losses[ids] = values
 
-    def value(self, example_id: int) -> float:
-        if example_id not in self:
-            raise ValueError(f"ledger has no entry for example {example_id}")
-        return float(self.losses[example_id])
-
     def mean(self) -> float:
         """Exactly rounded mean, independent of recording order."""
         recorded = self.losses[~np.isnan(self.losses)]
         if recorded.size == 0:
             raise ValueError("cannot take the mean of an empty ledger")
         return math.fsum(recorded.tolist()) / recorded.size
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(~np.isnan(self.losses)))
-
-    def __contains__(self, example_id: int) -> bool:
-        return 0 <= example_id < self.losses.size and not math.isnan(self.losses[example_id])
-
-
-@dataclass(frozen=True)
-class EpochAction:
-    """What the schedule did at the end of an epoch.
-
-    ``retained`` carries the surviving ids for a drop and is ``None``
-    otherwise.
-    """
-
-    kind: ActionKind
-    retained: tuple[int, ...] | None = None
 
 
 def init(config: DarConfig, population: int) -> SchedulerState:
@@ -184,7 +164,7 @@ def init(config: DarConfig, population: int) -> SchedulerState:
         epoch=0,
         cycle_start=config.warmup_epochs,
         last_drop=config.warmup_epochs,
-        active_ids=tuple(range(population)),
+        active_ids=np.arange(population),
         population=population,
     )
 
@@ -198,7 +178,7 @@ def select_hardest(ledger: LossLedger, active_ids: Iterable[int],
     """
     if not 0.0 < keep_rate <= 1.0:
         raise ValueError(f"keep_rate must be in (0, 1], got {keep_rate}")
-    ids = np.asarray(tuple(active_ids), dtype=np.int64)
+    ids = np.fromiter(active_ids, dtype=np.int64)
     losses = np.full(ids.size, np.nan)
     inside = (ids >= 0) & (ids < ledger.losses.size)
     losses[inside] = ledger.losses[ids[inside]]
@@ -207,13 +187,16 @@ def select_hardest(ledger: LossLedger, active_ids: Iterable[int],
         raise ValueError(f"ledger has no entry for active example {ids[missing.argmax()]}")
     if ids.size == 0:
         raise ValueError("active_ids must not be empty")
-    count = max(1, math.ceil(keep_rate * ids.size))
-    return tuple(np.sort(ids[np.lexsort((ids, -losses))[:count]]).tolist())
+    return tuple(_hardest(ids, losses, max(1, math.ceil(keep_rate * ids.size))).tolist())
 
 
-def _check_ledger_covers(ledger: LossLedger, active_ids: tuple[int, ...]) -> None:
+def _hardest(ids: np.ndarray, losses: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` ids with the largest ``losses``, ties toward the smaller id, ascending."""
+    return np.sort(ids[np.lexsort((ids, -losses))[:count]])
+
+
+def _check_ledger_covers(ledger: LossLedger, active: np.ndarray) -> None:
     recorded = np.flatnonzero(~np.isnan(ledger.losses))
-    active = np.asarray(active_ids, dtype=np.int64)
     if not np.array_equal(recorded, active):
         missing = np.setdiff1d(active, recorded)[:5].tolist()
         extra = np.setdiff1d(recorded, active)[:5].tolist()
@@ -246,7 +229,7 @@ def _decide(config: DarConfig, epoch: int, cycle_start: int, last_drop: int,
 
 
 def end_of_epoch(state: SchedulerState, config: DarConfig,
-                 ledger: LossLedger) -> tuple[SchedulerState, EpochAction]:
+                 ledger: LossLedger) -> tuple[SchedulerState, ActionKind]:
     """Apply the end-of-epoch transition for ``state.epoch``.
 
     :func:`_decide` sets the action and the counters; a drop then keeps the
@@ -258,20 +241,17 @@ def end_of_epoch(state: SchedulerState, config: DarConfig,
         raise ValueError("end_of_epoch before any epoch ran; call next_epoch first")
     if epoch > config.total_epochs:
         raise ValueError(f"epoch {epoch} exceeds total_epochs {config.total_epochs}")
-    _check_ledger_covers(ledger, state.active_ids)
-    kind, _, cycle_start, last_drop = _decide(
-        config, epoch, state.cycle_start, state.last_drop, len(state.active_ids),
-        state.population)
     active = state.active_ids
-    action = EpochAction(kind)
+    _check_ledger_covers(ledger, active)
+    kind, size, cycle_start, last_drop = _decide(
+        config, epoch, state.cycle_start, state.last_drop, active.size, state.population)
     if kind is ActionKind.DROP:
-        active = select_hardest(ledger, active, config.keep_rate)
-        action = EpochAction(kind, retained=active)
+        active = _hardest(active, ledger.losses[active], size)
     elif kind is ActionKind.REFRESH:
-        active = tuple(range(state.population))
+        active = np.arange(state.population)
     new_state = replace(state, cycle_start=cycle_start, last_drop=last_drop,
                         active_ids=active)
-    return new_state, action
+    return new_state, kind
 
 
 @dataclass(frozen=True)

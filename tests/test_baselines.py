@@ -12,9 +12,8 @@ def test_uniform_policy_restores_full_pool():
     state = SchedulerState(epoch=4, cycle_start=2, last_drop=3,
                            active_ids=(1, 5), population=8)
     new_state, action = uniform_policy(state)
-    assert action.kind is ActionKind.KEEP
-    assert action.retained is None
-    assert new_state.active_ids == tuple(range(8))
+    assert action is ActionKind.KEEP
+    assert new_state.active_ids.tolist() == list(range(8))
     assert new_state.epoch == 4
 
 
@@ -23,7 +22,7 @@ def test_uniform_policy_returns_a_full_pool_state_as_is():
                            active_ids=tuple(range(8)), population=8)
     new_state, action = uniform_policy(state)
     assert new_state is state
-    assert action.kind is ActionKind.KEEP
+    assert action is ActionKind.KEEP
 
 
 def test_reweight_worked_example():
@@ -93,8 +92,13 @@ def test_reweight_properties(losses):
     assert (np.diff(weights[order]) >= -1e-15).all()
 
 
+# Nonzero losses stay at or above 1e-300, so with scale >= 1e-3 neither they nor
+# their scaled copies round in the subnormal range, where scaling loses bits
+# (5e-324 * 0.5 is 0) and the property does not hold; the subnormal case is
+# pinned by test_reweight_subnormal_losses_keep_their_ratios.
 @settings(max_examples=60, deadline=None)
-@given(hnp.arrays(np.float64, st.integers(1, 20), elements=st.floats(0.0, 100.0)),
+@given(hnp.arrays(np.float64, st.integers(1, 20),
+                  elements=st.one_of(st.just(0.0), st.floats(1e-300, 100.0))),
        st.floats(1e-3, 1e3))
 def test_reweight_scale_invariance(losses, scale):
     base = reweight(losses).values

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropfresh.scheduler import (ActionKind, DarConfig, EpochAction, LossLedger,
-                                 SchedulerState, end_of_epoch, init, planned_cost,
-                                 select_hardest, trace, trace_csv_lines)
+from dropfresh.baselines import uniform_policy
+from dropfresh.scheduler import (ActionKind, DarConfig, LossLedger, SchedulerState,
+                                 end_of_epoch, init, planned_cost, select_hardest,
+                                 trace, trace_csv_lines)
 
 from oracles import simulate_schedule
 
@@ -22,7 +23,7 @@ def drive(config, population, losses_for):
     for _ in range(config.total_epochs):
         state = state.next_epoch()
         size = len(state.active_ids)
-        ledger = LossLedger({i: losses_for(state.epoch, i) for i in state.active_ids})
+        ledger = LossLedger({i: losses_for(state.epoch, i) for i in state.active_ids.tolist()})
         state, action = end_of_epoch(state, config, ledger)
         rows.append((size, action))
     return rows
@@ -33,7 +34,7 @@ def test_init_state():
     assert state.epoch == 0
     assert state.cycle_start == 2
     assert state.last_drop == 2
-    assert state.active_ids == tuple(range(8))
+    assert state.active_ids.tolist() == list(range(8))
     assert state.population == 8
 
 
@@ -100,8 +101,8 @@ def test_ledger_records_latest_value():
     ledger = LossLedger()
     ledger.record(3, 1.0)
     ledger.record(3, 0.25)
-    assert ledger.value(3) == 0.25
-    assert len(ledger) == 1 and 3 in ledger
+    assert ledger.losses[3] == 0.25
+    assert np.flatnonzero(~np.isnan(ledger.losses)).tolist() == [3]
 
 
 def test_ledger_rejects_bad_losses():
@@ -118,8 +119,8 @@ def test_ledger_batch_record_latest_value_wins():
     ledger = LossLedger()
     ledger.record(np.array([4, 1, 7]), np.array([0.5, 1.5, 2.5]))
     ledger.record(np.array([7, 2]), np.array([0.25, 3.0]))
-    assert [ledger.value(i) for i in (1, 2, 4, 7)] == [1.5, 3.0, 0.5, 0.25]
-    assert len(ledger) == 4 and 0 not in ledger and 3 not in ledger
+    assert ledger.losses[[1, 2, 4, 7]].tolist() == [1.5, 3.0, 0.5, 0.25]
+    assert np.flatnonzero(~np.isnan(ledger.losses)).tolist() == [1, 2, 4, 7]
 
 
 @pytest.mark.parametrize("bad, fragment", [
@@ -130,7 +131,7 @@ def test_ledger_batch_record_names_the_bad_example(bad, fragment):
     ledger = LossLedger()
     with pytest.raises(ValueError, match=f"^{fragment} loss .* for example 12$"):
         ledger.record(np.array([3, 12, 5]), np.array([0.1, bad, 0.2]))
-    assert len(ledger) == 0
+    assert ledger.losses.size == 0
 
 
 def test_ledger_mean_is_order_independent():
@@ -148,8 +149,8 @@ def test_end_of_epoch_keep_during_warmup():
     state = init(TOY, 8).next_epoch()
     ledger = LossLedger({i: float(i) for i in range(8)})
     new_state, action = end_of_epoch(state, TOY, ledger)
-    assert action == EpochAction(ActionKind.KEEP)
-    assert new_state.active_ids == state.active_ids
+    assert action is ActionKind.KEEP
+    assert new_state.active_ids.tolist() == state.active_ids.tolist()
     assert new_state.cycle_start == 2 and new_state.last_drop == 2
 
 
@@ -158,9 +159,8 @@ def test_end_of_epoch_drop_keeps_hardest():
                            active_ids=tuple(range(8)), population=8)
     ledger = LossLedger({i: float(i) for i in range(8)})
     new_state, action = end_of_epoch(state, TOY, ledger)
-    assert action.kind is ActionKind.DROP
-    assert action.retained == (4, 5, 6, 7)
-    assert new_state.active_ids == (4, 5, 6, 7)
+    assert action is ActionKind.DROP
+    assert new_state.active_ids.tolist() == [4, 5, 6, 7]
     assert new_state.last_drop == 3
     assert new_state.cycle_start == 2
 
@@ -172,8 +172,8 @@ def test_end_of_epoch_refresh_supersedes_drop():
                            active_ids=(4, 5, 6, 7), population=8)
     ledger = LossLedger({i: 1.0 for i in (4, 5, 6, 7)})
     new_state, action = end_of_epoch(state, cfg, ledger)
-    assert action == EpochAction(ActionKind.REFRESH)
-    assert new_state.active_ids == tuple(range(8))
+    assert action is ActionKind.REFRESH
+    assert new_state.active_ids.tolist() == list(range(8))
     assert new_state.cycle_start == 4
     assert new_state.last_drop == 4
 
@@ -184,8 +184,8 @@ def test_end_of_epoch_closed_window_blocks_drop():
                            active_ids=(0, 1), population=8)
     ledger = LossLedger({0: 1.0, 1: 2.0})
     new_state, action = end_of_epoch(state, TOY, ledger)
-    assert action.kind is ActionKind.KEEP
-    assert new_state.active_ids == (0, 1)
+    assert action is ActionKind.KEEP
+    assert new_state.active_ids.tolist() == [0, 1]
     assert new_state.last_drop == 5
 
 
@@ -195,8 +195,8 @@ def test_noop_drop_reports_keep_but_advances_interval():
                            active_ids=(0, 1, 2), population=3)
     ledger = LossLedger({0: 0.1, 1: 0.2, 2: 0.3})
     new_state, action = end_of_epoch(state, cfg, ledger)
-    assert action == EpochAction(ActionKind.KEEP)
-    assert new_state.active_ids == (0, 1, 2)
+    assert action is ActionKind.KEEP
+    assert new_state.active_ids.tolist() == [0, 1, 2]
     assert new_state.last_drop == 3
 
 
@@ -219,7 +219,6 @@ def test_end_of_epoch_epoch_bounds():
         end_of_epoch(late, TOY, ledger)
 
 
-
 def test_next_epoch_advances_only_the_epoch():
     state = init(TOY, 8)
     after = state.next_epoch()
@@ -228,6 +227,28 @@ def test_next_epoch_advances_only_the_epoch():
     assert (after.cycle_start, after.last_drop, after.population) == \
         (state.cycle_start, state.last_drop, state.population)
     assert state.epoch == 0
+
+
+def test_active_ids_are_a_frozen_copy():
+    ids = np.array([1, 3, 5])
+    state = SchedulerState(epoch=0, cycle_start=0, last_drop=0, active_ids=ids, population=8)
+    with pytest.raises(ValueError, match="read-only"):
+        state.active_ids[0] = 0
+    ids[0] = 0
+    assert state.active_ids.tolist() == [1, 3, 5]
+
+
+def test_full_pools_are_int64_aranges():
+    cfg = DarConfig(total_epochs=4, warmup_epochs=1, keep_rate=0.5, refresh_epochs=(3,))
+    partial = SchedulerState(epoch=3, cycle_start=1, last_drop=2,
+                             active_ids=(2, 5), population=8)
+    refreshed, action = end_of_epoch(partial, cfg, LossLedger({2: 1.0, 5: 0.5}))
+    assert action is ActionKind.REFRESH
+    for state in (init(cfg, 8), refreshed, uniform_policy(partial)[0]):
+        assert state.active_ids.dtype == np.int64
+        assert np.array_equal(state.active_ids, np.arange(8))
+        assert not state.active_ids.flags.writeable
+
 
 def test_state_validation():
     with pytest.raises(ValueError, match="ascending"):
@@ -306,7 +327,7 @@ def test_trace_sizes_ignore_loss_values():
     dummy = trace(TOY, 8)
     driven = drive(TOY, 8, lambda epoch, i: float((i * 7 + epoch * 3) % 5))
     assert [(r.size, r.action.value) for r in dummy] == \
-        [(size, action.kind.value) for size, action in driven]
+        [(size, action.value) for size, action in driven]
 
 
 @st.composite
@@ -364,18 +385,19 @@ def test_schedule_invariants(case):
 def test_driven_run_preserves_membership_invariants(case, loss_seed):
     cfg, population = case
     state = init(cfg, population)
-    full = tuple(range(population))
+    full = list(range(population))
     for _ in range(cfg.total_epochs):
-        state = state.next_epoch()
+        old = state.next_epoch()
         ledger = LossLedger({
-            i: float((i * 2654435761 + state.epoch * loss_seed) % 97) / 7.0
-            for i in state.active_ids})
-        state, action = end_of_epoch(state, cfg, ledger)
-        if action.kind is ActionKind.REFRESH:
-            assert state.active_ids == full
-        elif action.kind is ActionKind.DROP:
-            assert action.retained == state.active_ids
-            assert 0 < len(state.active_ids) < population + 1
-        assert state.active_ids == tuple(sorted(set(state.active_ids)))
+            i: float((i * 2654435761 + old.epoch * loss_seed) % 97) / 7.0
+            for i in old.active_ids.tolist()})
+        state, action = end_of_epoch(old, cfg, ledger)
+        ids = state.active_ids.tolist()
+        if action is ActionKind.REFRESH:
+            assert ids == full
+        elif action is ActionKind.DROP:
+            assert ids == list(select_hardest(ledger, old.active_ids, cfg.keep_rate))
+            assert 0 < len(ids) < population + 1
+        assert ids == sorted(set(ids))
         assert math.ceil(cfg.keep_rate * 1) >= 1  # pool can never empty
         assert len(state.active_ids) >= 1
