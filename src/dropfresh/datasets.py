@@ -81,12 +81,11 @@ class Dataset:
         return np.arange(self.n)
 
     def subset(self, ids: Sequence[int]) -> "Dataset":
-        """New dataset of the given rows, re-indexed from zero."""
-        idx = np.asarray(list(ids), dtype=np.int64)
+        """New dataset of the given rows, re-indexed from zero; fancy indexing copies them."""
+        idx = np.asarray(ids, dtype=np.int64)
         if idx.size == 0:
             raise DatasetError("subset needs at least one id")
-        return Dataset(self.features[idx].copy(), self.labels[idx].copy(),
-                       self.class_count, self.image_shape)
+        return Dataset(self.features[idx], self.labels[idx], self.class_count, self.image_shape)
 
 
 _IDX_IMAGE_MAGIC = 0x00000803

@@ -102,7 +102,7 @@ def run_experiment_with_params(cfg: ExperimentConfig) -> tuple[RunReport, ParamS
     train_set, val_set = load_dataset(cfg.data, cfg.run_seed)
     layers = [train_set.dim, *cfg.hidden_layers, train_set.class_count]
     params = init_params(layers, cfg.run_seed)
-    velocity = ParamSet.zeros_like(params)
+    velocity, grads = ParamSet.zeros_like(params), ParamSet.zeros_like(params)
     state = scheduler.init(cfg.dar, train_set.n)
     weights = None  # reweight policy only
     records: list[EpochRecord] = []
@@ -112,22 +112,27 @@ def run_experiment_with_params(cfg: ExperimentConfig) -> tuple[RunReport, ParamS
         state = state.next_epoch()
         epoch = state.epoch
         epoch_key = datasets.epoch_seed(cfg.run_seed, epoch)
-        ledger = LossLedger()
-        for batch_ids in datasets.epoch_batches(state.active_ids, cfg.batch_size,
-                                                cfg.run_seed, epoch):
-            batch = datasets.make_batch(train_set, batch_ids, cfg.data.augment, epoch_key)
-            sample_weights = weights.values[batch.ids] if weights is not None else None
-            try:
-                # an overflow anywhere in the loss, gradients or update raises here
-                with np.errstate(over="raise", invalid="raise"):
-                    losses, grads = model.loss_and_gradients(
+        plan = datasets.epoch_batches(state.active_ids, cfg.batch_size, cfg.run_seed, epoch)
+        losses, done = np.empty(state.active_ids.size), 0  # losses in plan order
+        # an overflow anywhere in a batch, its loss, gradients or update raises here
+        with np.errstate(over="raise", invalid="raise"):
+            for batch_ids in plan:
+                try:
+                    batch = datasets.make_batch(train_set, batch_ids, cfg.data.augment, epoch_key)
+                    sample_weights = weights.values[batch.ids] if weights is not None else None
+                    losses[done:done + batch_ids.size] = model.loss_and_gradients(
                         params, batch.features, batch.labels, cfg.train.weight_decay,
-                        sample_weights)
-                    ledger.record(batch.ids, losses)
+                        sample_weights, out=grads)[0]
                     model.sgd_step(params, grads, cfg.train, epoch, velocity)
-            except (ValueError, FloatingPointError) as exc:
-                raise HarnessError(
-                    f"epoch {epoch}, examples {batch.ids[:3].tolist()}...: {exc}") from exc
+                except (ValueError, FloatingPointError) as exc:
+                    raise HarnessError(
+                        f"epoch {epoch}, examples {batch_ids[:3].tolist()}...: {exc}") from exc
+                done += batch_ids.size
+        ledger = LossLedger()
+        try:
+            ledger.record(np.concatenate(plan), losses)
+        except ValueError as exc:
+            raise HarnessError(f"epoch {epoch}: {exc}") from exc
 
         active_count = len(state.active_ids)
         cumulative += active_count
@@ -174,9 +179,7 @@ def _atomic_write(path: Path, data: Union[str, bytes]) -> None:
 def save_params(params: ParamSet, path: Union[str, Path]) -> None:
     """Flat little-endian doubles plus a JSON sidecar describing the shapes."""
     path = Path(path)
-    blob = b"".join(
-        np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        for w, b in zip(params.weights, params.biases) for arr in (w, b))
+    blob = params.flat.astype("<f8", copy=False).tobytes()
     meta = {"dtype": "<f8", "layer_sizes": params.layer_sizes,
             "value_count": len(blob) // 8}
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -200,17 +203,11 @@ def load_params(path: Union[str, Path]) -> ParamSet:
     if meta.get("dtype") != "<f8" or meta.get("value_count") != expected:
         raise HarnessError(f"{sidecar}: dtype {meta.get('dtype')!r} and value_count "
                            f"{meta.get('value_count')!r} are not '<f8' and {expected}")
-    flat = np.frombuffer(path.read_bytes(), dtype="<f8").astype(np.float64)
+    flat = np.frombuffer(path.read_bytes(), dtype="<f8")
     if flat.size != expected:
         raise HarnessError(f"{path}: expected {expected} doubles for layer sizes "
                            f"{sizes}, found {flat.size}")
-    weights, biases, offset = [], [], 0
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        weights.append(flat[offset:offset + fan_in * fan_out].reshape(fan_out, fan_in).copy())
-        offset += fan_in * fan_out
-        biases.append(flat[offset:offset + fan_out].copy())
-        offset += fan_out
-    return ParamSet(weights, biases)
+    return ParamSet.from_flat(flat, sizes)
 
 
 def write_run_outputs(out_dir: Union[str, Path], report: RunReport,

@@ -7,20 +7,34 @@ pairwise summation, so identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 _INIT_STREAM = 0  # keeps init draws disjoint from the data-side streams
 
 
+def _layer_views(flat: np.ndarray, layer_sizes: Sequence[int]) -> tuple[list, list]:
+    """Per-layer weight and bias views of ``flat``, laid out W1, b1, W2, b2, ..."""
+    weights, biases, offset = [], [], 0
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+        weights.append(flat[offset:offset + fan_in * fan_out].reshape(fan_out, fan_in))
+        offset += fan_in * fan_out
+        biases.append(flat[offset:offset + fan_out])
+        offset += fan_out
+    return weights, biases
+
+
 @dataclass
 class ParamSet:
-    """Per-layer weight matrices (fan_out, fan_in) and bias vectors (fan_out,)."""
+    """Per-layer weight matrices (fan_out, fan_in) and bias vectors (fan_out,), all views
+    into one float64 vector ``flat`` laid out as ``model.bin`` is: W1 (row-major), b1, W2,
+    b2, ... Building a ParamSet copies the arrays passed in, so it never aliases them."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.biases):
@@ -37,18 +51,28 @@ class ParamSet:
                     f"{self.weights[i - 1].shape[0]}")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {i}: non-finite parameter values")
+        self.flat = np.concatenate([a.ravel() for pair in zip(self.weights, self.biases)
+                                    for a in pair], dtype=np.float64)
+        self.weights, self.biases = _layer_views(self.flat, self.layer_sizes)
 
     @property
     def layer_sizes(self) -> list[int]:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, layer_sizes: list[int]) -> "ParamSet":
+        """Checked copy of a vector laid out as ``flat`` is."""
+        return cls(*_layer_views(np.asarray(flat), layer_sizes))
+
     def copy(self) -> "ParamSet":
-        return ParamSet([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return ParamSet(self.weights, self.biases)
 
     @staticmethod
     def zeros_like(other: "ParamSet") -> "ParamSet":
-        return ParamSet([np.zeros_like(w) for w in other.weights],
-                        [np.zeros_like(b) for b in other.biases])
+        zeros = object.__new__(ParamSet)  # all-zero parameters need no checks
+        zeros.flat = np.zeros(other.flat.size)
+        zeros.weights, zeros.biases = _layer_views(zeros.flat, other.layer_sizes)
+        return zeros
 
 
 def init_params(layer_sizes: list[int], seed: int) -> ParamSet:
@@ -172,17 +196,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return softmax_xent(logits, np.zeros(len(logits), dtype=np.int64)).probabilities
 
 
-class Gradients(NamedTuple):  # a ParamSet's layout without its checks
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-
 def loss_and_gradients(params: ParamSet, features: np.ndarray, labels: np.ndarray,
-                       weight_decay: float,
-                       sample_weights: np.ndarray | None) -> tuple[np.ndarray, Gradients]:
+                       weight_decay: float, sample_weights: np.ndarray | None,
+                       out: ParamSet | None = None) -> tuple[np.ndarray, ParamSet]:
     """Per-example losses and ``backward``'s gradients from one forward pass.
 
-    Arguments are not re-checked: ``backward`` checks them, and the harness
+    The gradients are written into ``out`` (a new ``zeros_like(params)`` if None) and it is
+    returned. Arguments are not re-checked: ``backward`` checks them, and the harness
     takes them from a dataset and a weight vector that were checked when built.
     """
     acts = _forward_pass(params, features)
@@ -194,13 +214,15 @@ def loss_and_gradients(params: ParamSet, features: np.ndarray, labels: np.ndarra
     if sample_weights is not None:
         delta *= sample_weights[:, None]
     delta /= batch
-    grad_w, grad_b = [], []  # last layer first
+    if out is None:
+        out = ParamSet.zeros_like(params)
     for layer in range(len(params.weights) - 1, -1, -1):
-        grad_w.append(delta.T @ acts[layer] + weight_decay * params.weights[layer])
-        grad_b.append(delta.sum(axis=0))
+        grad_w = np.matmul(delta.T, acts[layer], out=out.weights[layer])
+        grad_w += weight_decay * params.weights[layer]
+        np.add.reduce(delta, axis=0, out=out.biases[layer])
         if layer > 0:
             delta = (delta @ params.weights[layer]) * (acts[layer] > 0.0)
-    return losses, Gradients(grad_w[::-1], grad_b[::-1])
+    return losses, out
 
 
 def backward(params: ParamSet, features: np.ndarray, labels: np.ndarray,
@@ -221,23 +243,20 @@ def backward(params: ParamSet, features: np.ndarray, labels: np.ndarray,
             raise ValueError(f"sample_weights shape {sample_weights.shape} != ({len(features)},)")
         if not np.isfinite(sample_weights).all() or (sample_weights < 0).any():
             raise ValueError("sample_weights must be finite and >= 0")
-    return ParamSet(*loss_and_gradients(params, features, labels, weight_decay,
-                                        sample_weights)[1])
+    return loss_and_gradients(params, features, labels, weight_decay, sample_weights)[1]
 
 
-def sgd_step(params: ParamSet, grads: ParamSet | Gradients, hyper: TrainHyper, epoch: int,
+def sgd_step(params: ParamSet, grads: ParamSet, hyper: TrainHyper, epoch: int,
              velocity: ParamSet | None = None) -> tuple[ParamSet, ParamSet]:
-    """In-place momentum update v <- m*v + g, w <- w - lr(epoch)*v; returns (params, v)."""
+    """v <- m*v + g, then w <- w - lr(epoch)*v, in place on ``flat``; returns (params, v)."""
     if [w.shape for w in grads.weights] != [w.shape for w in params.weights]:
         raise ValueError("gradient shapes do not match parameters")
     if velocity is None:
         velocity = ParamSet.zeros_like(params)
-    lr = lr_at(hyper, epoch)
-    for w, v, g in zip(params.weights + params.biases, velocity.weights + velocity.biases,
-                       grads.weights + grads.biases):
-        v *= hyper.momentum
-        v += g
-        w -= lr * v
+    v = velocity.flat
+    v *= hyper.momentum
+    v += grads.flat
+    params.flat -= lr_at(hyper, epoch) * v
     return params, velocity
 
 

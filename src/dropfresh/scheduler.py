@@ -245,12 +245,13 @@ def end_of_epoch(state: SchedulerState, config: DarConfig,
     _check_ledger_covers(ledger, active)
     kind, size, cycle_start, last_drop = _decide(
         config, epoch, state.cycle_start, state.last_drop, active.size, state.population)
-    if kind is ActionKind.DROP:
-        active = _hardest(active, ledger.losses[active], size)
-    elif kind is ActionKind.REFRESH:
-        active = np.arange(state.population)
-    new_state = replace(state, cycle_start=cycle_start, last_drop=last_drop,
-                        active_ids=active)
+    if kind is ActionKind.KEEP:  # the pool is unchanged, so it is neither copied nor re-checked
+        new_state = copy.copy(state)
+    else:
+        new_state = replace(state, active_ids=_hardest(active, ledger.losses[active], size)
+                            if kind is ActionKind.DROP else np.arange(state.population))
+    object.__setattr__(new_state, "cycle_start", cycle_start)
+    object.__setattr__(new_state, "last_drop", last_drop)
     return new_state, kind
 
 

@@ -151,6 +151,20 @@ def test_dataset_subset_reindexes():
     assert ds.features[2, 0] == 4.0  # subset owns its memory
 
 
+@pytest.mark.parametrize("ids", [[3, 1], np.array([3, 1]), np.array([3, 1], dtype=np.int32)])
+def test_dataset_subset_accepts_lists_and_arrays_and_shares_no_memory(ids):
+    ds = Dataset(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]), class_count=2,
+                 image_shape=(1, 2, 1))
+    sub = ds.subset(ids)
+    assert sub.features.tolist() == [[6.0, 7.0], [2.0, 3.0]]
+    assert sub.labels.tolist() == [1, 1]
+    assert (sub.class_count, sub.image_shape) == (2, (1, 2, 1))
+    assert not np.shares_memory(sub.features, ds.features)
+    assert not np.shares_memory(sub.labels, ds.labels)
+    with pytest.raises(DatasetError, match="at least one id"):
+        ds.subset([])
+
+
 def test_gen_gaussian_layout_and_determinism():
     spec = SyntheticSpec(means=((0.0, 0.0), (10.0, 10.0)), stds=(1.0,),
                          counts=(3, 5), seed=42)

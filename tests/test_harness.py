@@ -180,6 +180,41 @@ def test_evaluate_accuracy():
     assert evaluate(params, ds) == 0.75
 
 
+def test_one_ledger_record_per_epoch(monkeypatch):
+    calls = []
+    record = harness.LossLedger.record
+
+    def counting(self, ids, losses):
+        calls.append(np.sort(ids).tolist())
+        record(self, ids, losses)
+
+    monkeypatch.setattr(harness.LossLedger, "record", counting)
+    cfg = build_experiment_config(small_dar_values())
+    report = run_experiment(cfg)
+    assert [len(ids) for ids in calls] == [r.active_count for r in report.records]
+    assert calls[0] == list(range(report.records[0].active_count))
+
+
+def test_ledger_failure_names_the_epoch(monkeypatch):
+    def failing(self, ids, losses):
+        raise ValueError("negative loss -1.0 for example 7")
+
+    monkeypatch.setattr(harness.LossLedger, "record", failing)
+    with pytest.raises(HarnessError, match="^epoch 1: negative loss"):
+        run_experiment(build_experiment_config(small_values()))
+
+
+def test_save_params_writes_the_flat_vector(tmp_path):
+    params = init_params([4, 6, 3], seed=1)
+    path = tmp_path / "model.bin"
+    save_params(params, path)
+    assert path.read_bytes() == params.flat.astype("<f8").tobytes()
+    loaded = load_params(path)
+    assert loaded.flat.tobytes() == params.flat.tobytes()
+    for arr in loaded.weights + loaded.biases:
+        assert np.shares_memory(arr, loaded.flat)
+
+
 def test_save_load_params_round_trip(tmp_path):
     params = init_params([4, 6, 3], seed=1)
     path = tmp_path / "model.bin"

@@ -54,6 +54,33 @@ def test_param_set_validation():
         ParamSet([np.full((1, 1), np.nan)], [np.zeros(1)])
 
 
+def test_param_set_is_views_into_one_flat_copy():
+    w1, b1 = np.arange(6.0).reshape(2, 3), np.array([10.0, 11.0])
+    w2, b2 = np.arange(4.0).reshape(2, 2) + 20.0, np.array([30.0, 31.0])
+    params = ParamSet([w1, w2], [b1, b2])
+    assert params.flat.dtype == np.float64
+    assert params.flat.tolist() == [*w1.ravel(), *b1, *w2.ravel(), *b2]
+    for arr in params.weights + params.biases:
+        assert np.shares_memory(arr, params.flat)
+    for arr in (w1, b1, w2, b2):
+        arr += 100.0
+    assert params.flat.tolist() == [*(w1 - 100.0).ravel(), *(b1 - 100.0),
+                                    *(w2 - 100.0).ravel(), *(b2 - 100.0)]
+    params.flat[0] = -1.0
+    assert params.weights[0][0, 0] == -1.0
+
+
+def test_zeros_like_and_copy_own_their_flat():
+    params = init_params([3, 4, 2], seed=0)
+    for other in (ParamSet.zeros_like(params), params.copy()):
+        assert other.layer_sizes == params.layer_sizes
+        assert not np.shares_memory(other.flat, params.flat)
+        for arr in other.weights + other.biases:
+            assert np.shares_memory(arr, other.flat)
+    assert not ParamSet.zeros_like(params).flat.any()
+    assert params.copy().flat.tobytes() == params.flat.tobytes()
+
+
 def test_forward_worked_example():
     params = single_layer([[1.0, 2.0], [3.0, 4.0]], [0.0, 0.0])
     logits = forward(params, np.array([[1.0, 1.0]]))
@@ -310,3 +337,20 @@ def test_fused_step_matches_separate_calls_bit_for_bit(seed):
                                grads.weights + grads.biases):
         assert v.tobytes() == (0.9 * v0 + g).tobytes()
         assert w.tobytes() == (w0 - 0.3 * (0.9 * v0 + g)).tobytes()
+
+
+@pytest.mark.parametrize("decay, weighted", [(0.0, False), (0.01, True)])
+def test_loss_and_gradients_writes_into_out(decay, weighted):
+    rng = np.random.default_rng(5)
+    params = init_params([4, 6, 3], seed=2)
+    features = rng.normal(size=(7, 4))
+    labels = rng.integers(0, 3, size=7)
+    sample_weights = rng.uniform(0.5, 2.0, size=7) if weighted else None
+    fresh_losses, fresh = loss_and_gradients(params, features, labels, decay, sample_weights)
+    out = ParamSet.zeros_like(params)
+    out.flat[:] = np.nan  # every entry must be overwritten
+    losses, grads = loss_and_gradients(params, features, labels, decay, sample_weights,
+                                       out=out)
+    assert grads is out
+    assert losses.tobytes() == fresh_losses.tobytes()
+    assert grads.flat.tobytes() == fresh.flat.tobytes()

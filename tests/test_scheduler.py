@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dropfresh.baselines import uniform_policy
-from dropfresh.scheduler import (ActionKind, DarConfig, LossLedger, SchedulerState,
+from dropfresh.scheduler import (ActionKind, DarConfig, LossLedger, SchedulerState, _decide,
                                  end_of_epoch, init, planned_cost, select_hardest,
                                  trace, trace_csv_lines)
 
@@ -401,3 +401,22 @@ def test_driven_run_preserves_membership_invariants(case, loss_seed):
         assert ids == sorted(set(ids))
         assert math.ceil(cfg.keep_rate * 1) >= 1  # pool can never empty
         assert len(state.active_ids) >= 1
+
+
+def test_keep_shares_the_pool_and_sets_the_counters():
+    # on two examples TOY keeps in warm-up (epochs 1-2) and where a drop
+    # would keep the one example left (epochs 4, 7, 8; these advance last_drop)
+    state = init(TOY, 2)
+    kinds = []
+    for _ in range(TOY.total_epochs):
+        old = state.next_epoch()
+        ledger = LossLedger({i: float(i % 3) for i in old.active_ids.tolist()})
+        state, kind = end_of_epoch(old, TOY, ledger)
+        expected = _decide(TOY, old.epoch, old.cycle_start, old.last_drop,
+                           old.active_ids.size, old.population)
+        assert (kind, state.active_ids.size, state.cycle_start, state.last_drop) == expected
+        assert state.epoch == old.epoch and state.population == old.population
+        assert (state.active_ids is old.active_ids) == (kind is ActionKind.KEEP)
+        kinds.append(kind)
+    assert [kind.value for kind in kinds] == ["keep", "keep", "drop", "keep", "refresh",
+                                              "drop", "keep", "keep"]
