@@ -9,6 +9,7 @@ while noise (Box-Muller) also depends on the platform's log1p, cos and sin.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -55,12 +56,7 @@ class Dataset:
                 f"labels shape {self.labels.shape} != ({self.features.shape[0]},)")
         if not np.isfinite(self.features).all():
             raise DatasetError("non-finite feature values")
-        if self.class_count < 2:
-            raise DatasetError(f"class_count must be >= 2, got {self.class_count}")
-        if self.labels.min() < 0 or self.labels.max() >= self.class_count:
-            raise DatasetError(
-                f"labels must lie in [0, {self.class_count}), found "
-                f"[{self.labels.min()}, {self.labels.max()}]")
+        _check_labels(self.labels, self.class_count)
         if self.image_shape is not None:
             h, w, c = self.image_shape
             if h * w * c != self.features.shape[1]:
@@ -85,47 +81,72 @@ class Dataset:
         idx = np.asarray(ids, dtype=np.int64)
         if idx.size == 0:
             raise DatasetError("subset needs at least one id")
-        return Dataset(self.features[idx], self.labels[idx], self.class_count, self.image_shape)
+        return self.take(idx)[0]
+
+    def take(self, *row_sets: Union[Sequence[int], slice]) -> list["Dataset"]:
+        """A dataset of each row set's rows, re-indexed from zero; ``slice(None)`` is every row."""
+        return [Dataset(self.features[ids], self.labels[ids], self.class_count, self.image_shape)
+                for ids in row_sets]
+
+
+def _check_labels(labels: np.ndarray, class_count: int) -> None:
+    if class_count < 2:
+        raise DatasetError(f"class_count must be >= 2, got {class_count}")
+    if labels.min() < 0 or labels.max() >= class_count:
+        raise DatasetError(
+            f"labels must lie in [0, {class_count}), found [{labels.min()}, {labels.max()}]")
 
 
 _IDX_IMAGE_MAGIC = 0x00000803
 _IDX_LABEL_MAGIC = 0x00000801
 
 
-def _read_idx(path: Union[str, Path], magic: int, rank: int) -> tuple[list[int], bytes]:
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 4:
-        raise TruncatedPayloadError(f"{path}: file shorter than its 4-byte magic")
-    found = int.from_bytes(raw[:4], "big")
-    if found != magic:
-        raise BadMagicError(f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}")
-    header = 4 + 4 * rank
-    if len(raw) < header:
-        raise TruncatedPayloadError(f"{path}: file shorter than its {header}-byte header")
-    dims = [int.from_bytes(raw[4 + 4 * i:8 + 4 * i], "big") for i in range(rank)]
-    payload = raw[header:]
-    expected = int(np.prod(dims, dtype=np.int64)) if dims else 0
-    if len(payload) != expected:
-        raise TruncatedPayloadError(
-            f"{path}: expected {expected} payload bytes, found {len(payload)}")
-    return dims, payload
+class IdxPair:
+    """A big-endian IDX image/label pair, checked from the image file's header and size and the
+    whole label file when built; ``take`` reads the pixels once for all its row sets."""
+
+    def __init__(self, image_path: Union[str, Path], label_path: Union[str, Path],
+                 class_count: int = 10) -> None:
+        dims = []
+        for path, magic, rank in ((Path(image_path), _IDX_IMAGE_MAGIC, 3),
+                                  (Path(label_path), _IDX_LABEL_MAGIC, 1)):
+            header = 4 + 4 * rank
+            with path.open("rb") as fh:
+                raw = fh.read(header if rank == 3 else -1)  # the label file is read whole
+            if len(raw) < 4:
+                raise TruncatedPayloadError(f"{path}: file shorter than its 4-byte magic")
+            found = int.from_bytes(raw[:4], "big")
+            if found != magic:
+                raise BadMagicError(f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}")
+            if len(raw) < header:
+                raise TruncatedPayloadError(f"{path}: file shorter than its {header}-byte header")
+            dims += [int.from_bytes(raw[4 + 4 * i:8 + 4 * i], "big") for i in range(rank)]
+            expected, size = math.prod(dims[-rank:]), path.stat().st_size - header
+            if size != expected:
+                raise TruncatedPayloadError(
+                    f"{path}: expected {expected} payload bytes, found {size}")
+        n_img, height, width, n_lbl = dims
+        if n_img != n_lbl:
+            raise CountMismatchError(
+                f"{image_path} holds {n_img} images but {label_path} holds {n_lbl} labels")
+        if n_img < 1:
+            raise DatasetError(f"{image_path}: empty dataset")
+        self.labels = np.frombuffer(raw, np.uint8, offset=8).astype(np.int64)  # label file
+        _check_labels(self.labels, class_count)
+        self.image_path, self.class_count = Path(image_path), class_count
+        self.n, self.dim, self.image_shape = n_img, height * width, (height, width, 1)
+
+    def take(self, *row_sets: Union[Sequence[int], slice]) -> list[Dataset]:
+        """``Dataset.take`` of the pixels scaled to [0, 1]: only those rows, in one pass."""
+        pixels = np.fromfile(self.image_path, np.uint8, offset=16).reshape(self.n, self.dim)
+        return [Dataset(np.divide(pixels[ids], 255.0, dtype=np.float64), self.labels[ids],
+                        self.class_count, self.image_shape) for ids in row_sets]
 
 
 def load_idx(image_path: Union[str, Path], label_path: Union[str, Path],
              class_count: int = 10) -> Dataset:
     """Big-endian IDX image/label pair; pixels are scaled to [0, 1]."""
-    (n_img, height, width), pixels = _read_idx(image_path, _IDX_IMAGE_MAGIC, rank=3)
-    (n_lbl,), raw_labels = _read_idx(label_path, _IDX_LABEL_MAGIC, rank=1)
-    if n_img != n_lbl:
-        raise CountMismatchError(
-            f"{image_path} holds {n_img} images but {label_path} holds {n_lbl} labels")
-    if n_img < 1:
-        raise DatasetError(f"{image_path}: empty dataset")
-    features = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64) / 255.0
-    features = features.reshape(n_img, height * width)
-    labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
-    return Dataset(features, labels, class_count, image_shape=(height, width, 1))
+    return IdxPair(image_path, label_path, class_count).take(slice(None))[0]
 
 
 def load_csv(path: Union[str, Path], class_count: int | None = None) -> Dataset:

@@ -14,14 +14,14 @@ import os
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from . import datasets, model, scheduler
 from .baselines import reweight, uniform_policy
 from .config import DataConfig, ExperimentConfig
-from .datasets import Dataset, gen_gaussian, load_csv, load_idx
+from .datasets import Dataset, IdxPair, gen_gaussian, load_csv
 from .model import ParamSet, init_params, lr_at
 from .scheduler import LossLedger
 
@@ -32,33 +32,36 @@ class HarnessError(RuntimeError):
     pass
 
 
-def _load_base(data: DataConfig) -> Dataset:
-    if data.source == "synthetic":
-        return gen_gaussian(data.synthetic)
-    if data.source == "csv":
-        return load_csv(data.csv_path, data.class_count)
-    return load_idx(data.idx_images, data.idx_labels,
-                    10 if data.class_count is None else data.class_count)
+def _open(csv_path: str | None, idx_images: str | None, idx_labels: str | None,
+          class_count: int | None) -> Dataset | IdxPair:
+    if csv_path is not None:
+        return load_csv(csv_path, class_count)
+    return IdxPair(idx_images, idx_labels, 10 if class_count is None else class_count)
+
+
+def _plan(data: DataConfig, seed: int) -> tuple[Dataset | IdxPair, list, Dataset | IdxPair | None]:
+    """Training source, its row sets (training ids, then validation ids from the split stream)
+    and the explicit validation source, if any; IDX pixels are not read here."""
+    base = (gen_gaussian(data.synthetic) if data.source == "synthetic" else
+            _open(data.csv_path, data.idx_images, data.idx_labels, data.class_count))
+    if data.val_csv_path is not None or data.val_idx_images is not None:
+        val = _open(data.val_csv_path, data.val_idx_images, data.val_idx_labels, base.class_count)
+        if val.dim != base.dim:
+            raise HarnessError(
+                f"validation feature dim {val.dim} != training feature dim {base.dim}")
+        return base, [slice(None)], val
+    n_val = math.floor(data.val_fraction * base.n)
+    if n_val == 0:
+        return base, [slice(None)], None
+    order = np.random.default_rng([int(seed), _SPLIT_STREAM]).permutation(base.n)
+    return base, [np.sort(order[n_val:]), np.sort(order[:n_val])], None
 
 
 def load_dataset(data: DataConfig, run_seed: int) -> tuple[Dataset, Dataset | None]:
     """Training set plus optional validation set, re-indexed from zero."""
-    base = _load_base(data)
-    if data.val_csv_path is not None or data.val_idx_images is not None:
-        if data.val_csv_path is not None:
-            val = load_csv(data.val_csv_path, base.class_count)
-        else:
-            val = load_idx(data.val_idx_images, data.val_idx_labels, base.class_count)
-        if val.dim != base.dim:
-            raise HarnessError(
-                f"validation feature dim {val.dim} != training feature dim {base.dim}")
-        return base, val
-    n_val = math.floor(data.val_fraction * base.n)
-    if n_val == 0:
-        return base, None
-    rng = np.random.default_rng([int(run_seed), _SPLIT_STREAM])
-    order = rng.permutation(base.n)
-    return base.subset(np.sort(order[n_val:])), base.subset(np.sort(order[:n_val]))
+    base, row_sets, val = _plan(data, run_seed)
+    sets = base.take(*row_sets) + ([] if val is None else val.take(slice(None)))
+    return sets[0], sets[1] if len(sets) > 1 else None
 
 
 def evaluate(params: ParamSet, dataset: Dataset) -> float:
@@ -167,12 +170,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     return run_experiment_with_params(cfg)[0]
 
 
-def _atomic_write(path: Path, data: Union[str, bytes]) -> None:
+def _atomic_write(path: Path, data: Union[str, bytes], more: Iterable[str] = ()) -> None:
+    """Writes ``data``, then text chunks of ``more`` as they come, to ``<path>.tmp``; renames it."""
     tmp = path.with_name(path.name + ".tmp")
-    if isinstance(data, str):
-        tmp.write_text(data)
-    else:
-        tmp.write_bytes(data)
+    with tmp.open("wb" if isinstance(data, bytes) else "w") as fh:
+        fh.write(data)
+        fh.writelines(more)
     os.replace(tmp, path)
 
 
@@ -274,15 +277,15 @@ def export_features(params: ParamSet, dataset: Dataset, path: Union[str, Path]) 
     """CSV of per-example embeddings: last hidden activations, else logits; overflow raises."""
     with np.errstate(over="raise", invalid="raise"):
         feats = model.penultimate_features(params, dataset.features)
-    lines = ["id,label," + ",".join(f"f{j}" for j in range(feats.shape[1]))]
-    for i, (label, row) in enumerate(zip(dataset.labels.tolist(), feats)):
-        lines.append(f"{i},{label}," + ",".join(map(repr, row.tolist())))
+    header = "id,label," + ",".join(f"f{j}" for j in range(feats.shape[1])) + "\n"
+    rows = (f"{i},{label}," + ",".join(map(repr, row.tolist())) + "\n"
+            for i, (label, row) in enumerate(zip(dataset.labels.tolist(), feats)))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, header, rows)
 
 
 def training_population(cfg: ExperimentConfig) -> int:
-    """Size of the training split the schedule will see; no training happens."""
-    train_set, _ = load_dataset(cfg.data, cfg.run_seed)
-    return train_set.n
+    """Size of the training split the schedule will see; no pixels of IDX data are read."""
+    base, row_sets, _ = _plan(cfg.data, cfg.run_seed)
+    return base.n if isinstance(row_sets[0], slice) else row_sets[0].size

@@ -140,8 +140,9 @@ def _forward_pass(params: ParamSet, features: np.ndarray) -> list[np.ndarray]:
     acts = [features]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = acts[-1] @ w.T + b
-        acts.append(z if i == last else np.maximum(z, 0.0))
+        z = acts[-1] @ w.T
+        z += b  # in place: the same rounding as ``x @ w.T + b``, one array fewer
+        acts.append(z if i == last else np.maximum(z, 0.0, out=z))
     return acts
 
 

@@ -71,6 +71,58 @@ def test_cost_respects_preset_and_overrides(write_config, capsys):
     assert lines[-1] == repr(expected)
 
 
+def idx_bytes(magic, dims, payload):
+    return (b"".join(x.to_bytes(4, "big") for x in (magic, *dims))
+            + np.asarray(payload, dtype=np.uint8).tobytes())
+
+
+IDX_FAULTS = [("bad magic", "BadMagicError", "magic 0x00000801"),
+              ("short header", "TruncatedPayloadError", "16-byte header"),
+              ("truncated payload", "TruncatedPayloadError", "expected 120 payload bytes"),
+              ("count mismatch", "CountMismatchError", "holds 9 labels"),
+              ("label out of range", "DatasetError", "labels must lie in [0, 3)"),
+              ("validation image size", "HarnessError", "validation feature dim 16")]
+
+
+@pytest.mark.parametrize("fault, error, words", IDX_FAULTS, ids=[f[0] for f in IDX_FAULTS])
+def test_cost_rejects_broken_idx_data_with_one_json_line(write_config, tmp_path, capsys,
+                                                         fault, error, words):
+    images, labels = tmp_path / "images", tmp_path / "labels"
+    pixels, classes = np.arange(120) % 256, np.arange(10) % 3
+    images.write_bytes(idx_bytes(0x803, (10, 3, 4), pixels))
+    labels.write_bytes(idx_bytes(0x801, (10,), classes))
+    values = {"data.source": "idx", "data.idx_images": images, "data.idx_labels": labels,
+              "data.class_count": "3", "data.val_fraction": "0.2",
+              "train.total_epochs": "8", "train.base_lr": "0.1", "policy": "dar"}
+    assert main(["cost", "--config", str(write_config(values)),
+                 "--preset", "desk-default"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == repr(planned_cost(
+        DarConfig(8, 2, 2, 0.7, 4, (4, 6)), 8))  # 10 images, 2 held out
+    if fault == "bad magic":
+        images.write_bytes(labels.read_bytes())
+    elif fault == "short header":
+        images.write_bytes(images.read_bytes()[:10])
+    elif fault == "truncated payload":
+        images.write_bytes(images.read_bytes()[:-1])
+    elif fault == "count mismatch":
+        labels.write_bytes(idx_bytes(0x801, (9,), classes[:9]))
+    elif fault == "label out of range":
+        labels.write_bytes(idx_bytes(0x801, (10,), [0, 1, 2, 3, 0, 1, 2, 0, 1, 2]))
+    else:
+        val_images, val_labels = tmp_path / "val-images", tmp_path / "val-labels"
+        val_images.write_bytes(idx_bytes(0x803, (2, 4, 4), range(32)))
+        val_labels.write_bytes(idx_bytes(0x801, (2,), [0, 1]))
+        values.update({"data.val_fraction": "0", "data.val_idx_images": val_images,
+                       "data.val_idx_labels": val_labels})
+    assert main(["cost", "--config", str(write_config(values)),
+                 "--preset", "desk-default"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == error and words in payload["message"]
+
+
 def test_train_writes_run_directory(write_config, tmp_path, capsys):
     path = write_config(run_values())
     out_dir = tmp_path / "run"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dropfresh.datasets import (BadMagicError, Batch, CountMismatchError, Dataset,
-                                DatasetError, GaussianNoise, HorizontalFlip,
+                                DatasetError, GaussianNoise, HorizontalFlip, IdxPair,
                                 NoAugment, SyntheticSpec, TruncatedPayloadError,
                                 augment, epoch_batches, epoch_seed, gen_gaussian,
                                 load_csv, load_idx, make_batch, save_csv)
@@ -87,6 +87,35 @@ def test_load_idx_class_count_override(idx_pair):
     assert load_idx(image_path, label_path, class_count=12).class_count == 12
     with pytest.raises(DatasetError, match="labels must lie"):
         load_idx(image_path, label_path, class_count=5)  # label 9 out of range
+
+
+def test_load_idx_pixels_are_bytes_over_255_bit_for_bit(tmp_path):
+    # u * (1/255) differs from u / 255 on 24 of the 256 byte values
+    images = np.arange(256, dtype=np.uint8).reshape(16, 4, 4)
+    labels = np.arange(16, dtype=np.uint8) % 10
+    image_path, label_path = tmp_path / "images", tmp_path / "labels"
+    image_path.write_bytes(idx_image_bytes(images))
+    label_path.write_bytes(idx_label_bytes(labels))
+    expected = np.array([u / 255.0 for u in range(256)]).reshape(16, 16)
+    assert load_idx(image_path, label_path).features.tobytes() == expected.tobytes()
+    ids = np.array([3, 0, 15, 7])
+    rows, pair = IdxPair(image_path, label_path).take(ids, [1, 2])
+    assert rows.features.tobytes() == expected[ids].tobytes()
+    assert rows.labels.tolist() == labels[ids].tolist() and rows.image_shape == (4, 4, 1)
+    assert pair.features.tobytes() == expected[[1, 2]].tobytes()
+
+
+def test_idx_pair_reads_no_pixels_until_take(idx_pair, monkeypatch):
+    image_path, label_path, _, _ = idx_pair
+    pixels_read = []
+    real_fromfile = np.fromfile
+    monkeypatch.setattr(np, "fromfile", lambda *a, **k: pixels_read.append(a) or
+                        real_fromfile(*a, **k))
+    pair = IdxPair(image_path, label_path, class_count=10)
+    assert (pair.n, pair.dim, pair.image_shape) == (3, 4, (2, 2, 1))
+    assert pair.labels.tolist() == [3, 0, 9] and not pixels_read
+    pair.take(slice(None), [0], [2, 1])
+    assert len(pixels_read) == 1  # one read for every row set
 
 
 def test_csv_round_trip(tmp_path):

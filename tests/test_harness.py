@@ -1,18 +1,19 @@
+import builtins
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from dropfresh import harness
+from dropfresh import datasets, harness
 from dropfresh.config import build_experiment_config
-from dropfresh.datasets import Dataset, save_csv
+from dropfresh.datasets import Dataset, load_idx, save_csv
 from dropfresh.harness import (CompareRow, HarnessError, compare, evaluate,
                                export_features, load_dataset, load_params,
                                metrics_lines, run_experiment,
                                run_experiment_with_params, save_params,
                                training_population, write_run_outputs)
-from dropfresh.model import ParamSet, init_params
+from dropfresh.model import ParamSet, init_params, penultimate_features
 from dropfresh.scheduler import planned_cost
 
 
@@ -302,6 +303,106 @@ def test_export_features_csv(tmp_path):
 def test_training_population_counts_post_split():
     cfg = build_experiment_config(small_values())
     assert training_population(cfg) == 90
+
+
+def write_idx_pair(directory, name, count, height, width, seed):
+    rng = np.random.default_rng(seed)
+    images = rng.integers(0, 256, size=(count, height, width), dtype=np.uint8)
+    labels = rng.integers(0, 10, size=count, dtype=np.uint8)
+    image_path, label_path = directory / f"{name}-images", directory / f"{name}-labels"
+    image_path.write_bytes(b"".join(x.to_bytes(4, "big") for x in (0x803, count, height, width))
+                           + images.tobytes())
+    label_path.write_bytes(b"".join(x.to_bytes(4, "big") for x in (0x801, count))
+                           + labels.tobytes())
+    return image_path, label_path
+
+
+def file_values(**overrides):
+    """``small_values`` with a file source in place of the synthetic one."""
+    kept = {k: v for k, v in small_values().items() if not k.startswith("synthetic.")}
+    return {**kept, **overrides}
+
+
+def idx_values(tmp_path, layout):
+    image_path, label_path = write_idx_pair(tmp_path, "train", 25, 3, 4, seed=1)
+    values = file_values(**{"data.source": "idx", "data.idx_images": str(image_path),
+                            "data.idx_labels": str(label_path), "run.seed": "5"})
+    values["data.val_fraction"] = "0.2" if layout == "val_fraction 0.2" else "0"
+    if layout == "explicit validation":
+        val_images, val_labels = write_idx_pair(tmp_path, "val", 7, 3, 4, seed=2)
+        values.update({"data.val_idx_images": str(val_images),
+                       "data.val_idx_labels": str(val_labels)})
+    return values
+
+
+def same_bytes(a, b):
+    return ((a.features.tobytes(), a.labels.tobytes(), a.class_count, a.image_shape)
+            == (b.features.tobytes(), b.labels.tobytes(), b.class_count, b.image_shape))
+
+
+@pytest.mark.parametrize("layout", ["val_fraction 0.2", "val_fraction 0", "explicit validation"])
+def test_load_dataset_idx_equals_subsets_of_load_idx(tmp_path, layout):
+    cfg = build_experiment_config(idx_values(tmp_path, layout))
+    train_set, val_set = load_dataset(cfg.data, cfg.run_seed)
+    whole = load_idx(cfg.data.idx_images, cfg.data.idx_labels)
+    if layout == "val_fraction 0.2":
+        order = np.random.default_rng([5, harness._SPLIT_STREAM]).permutation(25)
+        assert same_bytes(train_set, whole.subset(np.sort(order[5:])))
+        assert same_bytes(val_set, whole.subset(np.sort(order[:5])))
+    else:
+        assert same_bytes(train_set, whole.subset(np.arange(25)))
+    if layout == "val_fraction 0":
+        assert val_set is None
+    if layout == "explicit validation":
+        assert same_bytes(val_set, load_idx(cfg.data.val_idx_images, cfg.data.val_idx_labels))
+
+
+def csv_values(tmp_path):
+    path = tmp_path / "data.csv"
+    save_csv(Dataset(np.arange(66.0).reshape(22, 3), np.arange(22) % 3, class_count=3), path)
+    return file_values(**{"data.source": "csv", "data.csv": str(path)})
+
+
+@pytest.mark.parametrize("source", ["synthetic", "csv", "idx", "idx, explicit validation"])
+def test_training_population_is_the_loaded_training_set_size(tmp_path, monkeypatch, source):
+    if source == "synthetic":
+        values = small_values()
+    elif source == "csv":
+        values = csv_values(tmp_path)
+    else:
+        values = idx_values(tmp_path, "explicit validation" if "explicit" in source
+                            else "val_fraction 0.2")
+    cfg = build_experiment_config(values)
+    expected = load_dataset(cfg.data, cfg.run_seed)[0].n
+    if source.startswith("idx"):  # counted from the headers: no pixel is read
+        monkeypatch.setattr(datasets.IdxPair, "take", lambda *a: pytest.fail("pixels read"))
+    assert training_population(cfg) == expected
+
+
+def test_export_features_format_and_a_failed_export_keeps_the_old_file(tmp_path, monkeypatch):
+    params = init_params([2, 3, 2], seed=4)
+    ds = Dataset(np.array([[0.5, -1.0], [2.0, 0.25], [1.0, 1.0]]), np.array([1, 0, 1]),
+                 class_count=2)
+    out = tmp_path / "features.csv"
+    export_features(params, ds, out)
+    feats = penultimate_features(params, ds.features)
+    expected = "id,label,f0,f1,f2\n" + "".join(
+        f"{i},{label}," + ",".join(repr(float(x)) for x in row) + "\n"
+        for i, (label, row) in enumerate(zip([1, 0, 1], feats)))
+    assert out.read_text() == expected
+    before = out.read_bytes()
+    formatted = []
+
+    def failing_repr(value):  # the harness formats with repr; fail on the second row
+        formatted.append(value)
+        if len(formatted) > 4:
+            raise RuntimeError("formatting failed")
+        return builtins.repr(value)
+
+    monkeypatch.setattr(harness, "repr", failing_repr, raising=False)
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        export_features(params, ds, out)
+    assert len(formatted) == 5 and out.read_bytes() == before
 
 
 def test_evaluate_overflow_raises_instead_of_warning(tmp_path):

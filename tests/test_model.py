@@ -302,6 +302,22 @@ def test_penultimate_features():
     assert np.array_equal(penultimate_features(shallow, feats), forward(shallow, feats))
 
 
+@pytest.mark.parametrize("hidden", [(), (5,), (5, 4)])
+def test_forward_and_penultimate_match_a_straight_line_chain_bit_for_bit(hidden):
+    # the forward pass adds the bias and applies ReLU in place; the bits must not move
+    rng = np.random.default_rng(len(hidden))
+    sizes = [6, *hidden, 3]
+    params = ParamSet([rng.normal(size=(fo, fi)) for fi, fo in zip(sizes, sizes[1:])],
+                      [rng.normal(size=fo) for fo in sizes[1:]])
+    feats = rng.normal(size=(9, 6))
+    acts = [feats]
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = acts[-1] @ w.T + b
+        acts.append(z if i == len(hidden) else np.maximum(z, 0.0))
+    assert forward(params, feats).tobytes() == acts[-1].tobytes()
+    assert penultimate_features(params, feats).tobytes() == acts[-2 if hidden else -1].tobytes()
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_fused_step_matches_separate_calls_bit_for_bit(seed):
     rng = np.random.default_rng([seed, 77])
