@@ -5,6 +5,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 from . import scheduler
 from .config import (ConfigError, apply_preset, build_experiment_config,
@@ -68,6 +69,8 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     paths = [p for p in args.configs.split(",") if p]
     cfgs = [build_experiment_config(read_config_file(p)) for p in paths]
+    if args.out is not None and not Path(args.out).absolute().parent.is_dir():
+        raise ConfigError(f"--out {args.out}: its directory does not exist")
     rows = compare(cfgs)
     print("label,cost_ratio,final_accuracy,delta_accuracy")
     for row in rows:

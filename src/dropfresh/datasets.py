@@ -37,44 +37,50 @@ class CountMismatchError(DatasetError):
     pass
 
 
-@dataclass
 class Dataset:
-    """Feature matrix (n, d) float64 plus integer labels; ids are row indices."""
+    """Integer labels plus an (n, d) feature matrix ``stored``: float64, or with ``pixels`` the
+    uint8 pixels of IDX data, which ``rows`` and ``features`` read as float64; ids are rows."""
 
-    features: np.ndarray
-    labels: np.ndarray
-    class_count: int
-    image_shape: tuple[int, int, int] | None = None
-
-    def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise DatasetError(f"features must be (n, d) with n >= 1, got {self.features.shape}")
-        if self.labels.shape != (self.features.shape[0],):
-            raise DatasetError(
-                f"labels shape {self.labels.shape} != ({self.features.shape[0]},)")
-        if not np.isfinite(self.features).all():
+    def __init__(self, features: np.ndarray, labels: np.ndarray, class_count: int,
+                 image_shape: tuple[int, int, int] | None = None, pixels: bool = False) -> None:
+        self.stored = np.asarray(features, dtype=None if pixels else np.float64)
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.class_count, self.image_shape, self.pixels = class_count, image_shape, pixels
+        if pixels and self.stored.dtype != np.uint8:
+            raise DatasetError(f"pixels must be uint8, got {self.stored.dtype}")
+        if self.stored.ndim != 2 or self.stored.shape[0] < 1:
+            raise DatasetError(f"features must be (n, d) with n >= 1, got {self.stored.shape}")
+        if self.labels.shape != (self.n,):
+            raise DatasetError(f"labels shape {self.labels.shape} != ({self.n},)")
+        if not pixels and not np.isfinite(self.stored).all():
             raise DatasetError("non-finite feature values")
         _check_labels(self.labels, self.class_count)
         if self.image_shape is not None:
             h, w, c = self.image_shape
-            if h * w * c != self.features.shape[1]:
+            if h * w * c != self.dim:
                 raise DatasetError(
-                    f"image_shape {self.image_shape} does not flatten to "
-                    f"{self.features.shape[1]} columns")
+                    f"image_shape {self.image_shape} does not flatten to {self.dim} columns")
 
     @property
     def n(self) -> int:
-        return self.features.shape[0]
+        return self.stored.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1]
+        return self.stored.shape[1]
 
     @property
-    def ids(self) -> np.ndarray:
-        return np.arange(self.n)
+    def features(self) -> np.ndarray:
+        """The float64 (n, d) matrix; pixels are converted, all of them, on each access."""
+        return self.as_float(self.stored)
+
+    def rows(self, ids: Union[Sequence[int], slice] = slice(None)) -> np.ndarray:
+        """float64 rows ``ids`` (every row by default)."""
+        return self.as_float(self.stored[ids])
+
+    def as_float(self, stored_rows: np.ndarray) -> np.ndarray:
+        """Rows of ``stored`` as float64: pixels divided by 255, floats as they are."""
+        return np.divide(stored_rows, 255.0, dtype=np.float64) if self.pixels else stored_rows
 
     def subset(self, ids: Sequence[int]) -> "Dataset":
         """New dataset of the given rows, re-indexed from zero; fancy indexing copies them."""
@@ -85,8 +91,8 @@ class Dataset:
 
     def take(self, *row_sets: Union[Sequence[int], slice]) -> list["Dataset"]:
         """A dataset of each row set's rows, re-indexed from zero; ``slice(None)`` is every row."""
-        return [Dataset(self.features[ids], self.labels[ids], self.class_count, self.image_shape)
-                for ids in row_sets]
+        return [Dataset(self.stored[ids], self.labels[ids], self.class_count, self.image_shape,
+                        pixels=self.pixels) for ids in row_sets]
 
 
 def _check_labels(labels: np.ndarray, class_count: int) -> None:
@@ -137,15 +143,15 @@ class IdxPair:
         self.n, self.dim, self.image_shape = n_img, height * width, (height, width, 1)
 
     def take(self, *row_sets: Union[Sequence[int], slice]) -> list[Dataset]:
-        """``Dataset.take`` of the pixels scaled to [0, 1]: only those rows, in one pass."""
+        """``Dataset.take`` of the uint8 pixels, read once for all the row sets."""
         pixels = np.fromfile(self.image_path, np.uint8, offset=16).reshape(self.n, self.dim)
-        return [Dataset(np.divide(pixels[ids], 255.0, dtype=np.float64), self.labels[ids],
-                        self.class_count, self.image_shape) for ids in row_sets]
+        return [Dataset(pixels[ids], self.labels[ids], self.class_count, self.image_shape,
+                        pixels=True) for ids in row_sets]
 
 
 def load_idx(image_path: Union[str, Path], label_path: Union[str, Path],
              class_count: int = 10) -> Dataset:
-    """Big-endian IDX image/label pair; pixels are scaled to [0, 1]."""
+    """Big-endian IDX image/label pair; uint8 pixels, read as float64 in [0, 1]."""
     return IdxPair(image_path, label_path, class_count).take(slice(None))[0]
 
 
@@ -181,16 +187,6 @@ def load_csv(path: Union[str, Path], class_count: int | None = None) -> Dataset:
         raise DatasetError(f"{path}: no data rows")
     resolved = max(2, max(labels) + 1 if class_count is None else class_count)
     return Dataset(np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64), resolved)
-
-
-def save_csv(dataset: Dataset, path: Union[str, Path]) -> None:
-    """Writes rows ``load_csv`` reads back exactly (repr round-trips floats)."""
-    lines = []
-    for i in range(dataset.n):
-        cells = [str(int(dataset.labels[i]))]
-        cells.extend(repr(float(x)) for x in dataset.features[i])
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -280,12 +276,14 @@ def _uniforms(epoch_key: int, ids: np.ndarray, count: int) -> np.ndarray:
     return (_mix(streams[:, None] + counters) >> np.uint64(11)) * 2.0 ** -53
 
 
-def _augment_rows(rows: np.ndarray, policy: AugmentPolicy, epoch_key: int,
-                  ids: np.ndarray, image_shape: tuple[int, int, int] | None) -> np.ndarray:
-    """Transform rows (n, d) in place, row r keyed by (epoch_key, ids[r]); returns rows."""
+def _augment_rows(rows: np.ndarray, policy: AugmentPolicy, epoch_key: int, ids: np.ndarray,
+                  image_shape: tuple[int, int, int] | None, as_float=lambda r: r) -> np.ndarray:
+    """Transform rows (n, d) in place, row r keyed by (epoch_key, ids[r]), flips before
+    ``as_float`` (they only move values) and noise after it; returns its float rows."""
     if isinstance(policy, NoAugment) or policy == GaussianNoise(0.0):
-        return rows
+        return as_float(rows)
     if isinstance(policy, GaussianNoise):
+        rows = as_float(rows)
         half = (rows.shape[1] + 1) // 2
         u = _uniforms(epoch_key, ids, 2 * half)
         radius, angle = np.sqrt(-2.0 * np.log1p(-u[:, :half])), 2.0 * np.pi * u[:, half:]
@@ -301,7 +299,7 @@ def _augment_rows(rows: np.ndarray, policy: AugmentPolicy, epoch_key: int,
                 f"image_shape {image_shape} does not flatten to {rows.shape[1]}")
         flips = _uniforms(epoch_key, ids, 1)[:, 0] < policy.prob
         rows[flips] = rows[flips].reshape(-1, h, w, c)[:, :, ::-1].reshape(-1, h * w * c)
-        return rows
+        return as_float(rows)
     raise DatasetError(f"unknown augmentation policy: {policy!r}")
 
 
@@ -339,6 +337,6 @@ def make_batch(dataset: Dataset, ids: Sequence[int], policy: AugmentPolicy,
                epoch_key: int) -> Batch:
     """Materialize one batch with one gather, applying the augmentation per example."""
     ids = np.asarray(ids, dtype=np.int64)
-    features = _augment_rows(dataset.features[ids], policy, int(epoch_key), ids,
-                             dataset.image_shape)
+    features = _augment_rows(dataset.stored[ids], policy, int(epoch_key), ids,
+                             dataset.image_shape, dataset.as_float)
     return Batch(ids=ids, features=features, labels=dataset.labels[ids])

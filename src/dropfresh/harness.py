@@ -26,6 +26,9 @@ from .model import ParamSet, init_params, lr_at
 from .scheduler import LossLedger
 
 _SPLIT_STREAM = 1
+# The export's first layer runs on blocks of this many rows, the last up to twice as many: on
+# OpenBLAS 0.3.31 each row then gets the bits of the whole product (fewer rows can change them)
+_EXPORT_BLOCK = 256
 
 
 class HarnessError(RuntimeError):
@@ -67,7 +70,7 @@ def load_dataset(data: DataConfig, run_seed: int) -> tuple[Dataset, Dataset | No
 def evaluate(params: ParamSet, dataset: Dataset) -> float:
     """Plain accuracy; no augmentation is applied at evaluation time; overflow raises."""
     with np.errstate(over="raise", invalid="raise"):
-        return float(np.mean(model.predict(params, dataset.features) == dataset.labels))
+        return float(np.mean(model.predict(params, dataset.rows()) == dataset.labels))
 
 
 @dataclass(frozen=True)
@@ -171,12 +174,16 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
 
 
 def _atomic_write(path: Path, data: Union[str, bytes], more: Iterable[str] = ()) -> None:
-    """Writes ``data``, then text chunks of ``more`` as they come, to ``<path>.tmp``; renames it."""
+    """Writes ``data``, then text chunks of ``more``, to ``<path>.tmp``; renames or deletes it."""
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb" if isinstance(data, bytes) else "w") as fh:
-        fh.write(data)
-        fh.writelines(more)
-    os.replace(tmp, path)
+    try:
+        with tmp.open("wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+            fh.writelines(more)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)  # ``path`` keeps what it held
+        raise
 
 
 def save_params(params: ParamSet, path: Union[str, Path]) -> None:
@@ -275,8 +282,10 @@ def compare(cfgs: Sequence[ExperimentConfig]) -> list[CompareRow]:
 
 def export_features(params: ParamSet, dataset: Dataset, path: Union[str, Path]) -> None:
     """CSV of per-example embeddings: last hidden activations, else logits; overflow raises."""
+    starts = range(0, max(dataset.n - _EXPORT_BLOCK, 0) + 1, _EXPORT_BLOCK)
+    blocks = (dataset.rows(slice(lo, hi)) for lo, hi in zip(starts, [*starts[1:], dataset.n]))
     with np.errstate(over="raise", invalid="raise"):
-        feats = model.penultimate_features(params, dataset.features)
+        feats = model.penultimate_features(params, blocks)
     header = "id,label," + ",".join(f"f{j}" for j in range(feats.shape[1])) + "\n"
     rows = (f"{i},{label}," + ",".join(map(repr, row.tolist())) + "\n"
             for i, (label, row) in enumerate(zip(dataset.labels.tolist(), feats)))

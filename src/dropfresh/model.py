@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -111,6 +111,12 @@ class TrainHyper:
                 raise ValueError(
                     f"lr_milestones must be positive and strictly increasing, "
                     f"got {self.lr_milestones}")
+        try:  # every rate lr_at can return
+            rates = [self.base_lr * self.lr_gamma ** k for k in range(len(self.lr_milestones) + 1)]
+        except OverflowError:
+            rates = [math.inf]
+        if not all(0.0 < rate < math.inf for rate in rates):
+            raise ValueError("base_lr * lr_gamma**k must be finite and > 0 after every milestone")
 
 
 def lr_at(hyper: TrainHyper, epoch: int) -> float:
@@ -135,13 +141,14 @@ def _check_features(params: ParamSet, features: np.ndarray) -> np.ndarray:
     return features
 
 
-def _forward_pass(params: ParamSet, features: np.ndarray) -> list[np.ndarray]:
-    """Activations per layer boundary; entry 0 is the input, entry -1 the logits."""
+def _forward_pass(params: ParamSet, features: np.ndarray,
+                  layers: range | None = None) -> list[np.ndarray]:
+    """Activations per layer boundary, of all layers or just ``layers``; entry 0 is the input."""
     acts = [features]
     last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = acts[-1] @ w.T
-        z += b  # in place: the same rounding as ``x @ w.T + b``, one array fewer
+    for i in range(last + 1) if layers is None else layers:
+        z = acts[-1] @ params.weights[i].T
+        z += params.biases[i]  # in place: the same rounding as ``x @ w.T + b``, one array fewer
         acts.append(z if i == last else np.maximum(z, 0.0, out=z))
     return acts
 
@@ -190,11 +197,6 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray) -> BatchOutput:
     labels = _check_labels(labels, logits.shape[0], logits.shape[1])
     probabilities, losses = _xent_core(logits, labels)
     return BatchOutput(probabilities, losses, float(losses.mean()))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax: ``softmax_xent``'s probabilities, which no label changes."""
-    return softmax_xent(logits, np.zeros(len(logits), dtype=np.int64)).probabilities
 
 
 def loss_and_gradients(params: ParamSet, features: np.ndarray, labels: np.ndarray,
@@ -266,7 +268,10 @@ def predict(params: ParamSet, features: np.ndarray) -> np.ndarray:
     return np.argmax(forward(params, features), axis=1)
 
 
-def penultimate_features(params: ParamSet, features: np.ndarray) -> np.ndarray:
-    """Last hidden activations, or the logits when there is no hidden layer."""
-    acts = _forward_pass(params, _check_features(params, features))
-    return acts[-2] if len(params.weights) > 1 else acts[-1]
+def penultimate_features(params: ParamSet, features: Iterable[np.ndarray]) -> np.ndarray:
+    """Last hidden activations, or the logits when there is no hidden layer. ``features`` is a
+    matrix or its row blocks in order: the first layer runs per block, the rest on all rows."""
+    blocks = [features] if isinstance(features, np.ndarray) else features
+    x = np.concatenate([_forward_pass(params, _check_features(params, b), range(1))[-1]
+                        for b in blocks])
+    return _forward_pass(params, x, range(1, len(params.weights) - 1))[-1]

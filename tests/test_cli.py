@@ -304,8 +304,9 @@ def test_export_features_rejects_bad_dtype_or_value_count(write_config, tmp_path
 
 
 def test_export_features_overflow_is_one_json_line_on_stderr(tmp_path):
-    # finite parameters of 1e300 overflow in the second layer's matmul
-    huge = ParamSet([np.full((3, 4), 1e300), np.full((2, 3), 1e300)],
+    # finite first-layer weights of 1e308 overflow in its matmul (the export stops at the
+    # hidden layer, so an overflow in the logits alone would not be reached)
+    huge = ParamSet([np.full((3, 4), 1e308), np.full((2, 3), 1e300)],
                     [np.full(3, 1e300), np.full(2, 1e300)])
     model = tmp_path / "model.bin"
     save_params(huge, model)
@@ -326,3 +327,36 @@ def test_export_features_overflow_is_one_json_line_on_stderr(tmp_path):
     assert payload["error"] == "HarnessError"
     assert "model.bin" in payload["message"] and "overflow" in payload["message"]
     assert not (tmp_path / "f.csv").exists()
+
+
+def test_train_rejects_an_overflowing_lr_schedule_with_one_json_line(write_config):
+    # base_lr * lr_gamma**2 is 1e100, but lr_gamma**2 alone overflows a float
+    path = write_config(run_values(**{"train.base_lr": "1e-300", "train.lr_milestones": "1,2",
+                                      "train.lr_gamma": "1e200", "train.total_epochs": "3"}))
+    src = str(Path(dropfresh.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "dropfresh.cli", "train", "--config",
+                           str(path)], capture_output=True, text=True, env=env)
+    assert done.returncode == 1 and done.stdout == ""
+    err = done.stderr.splitlines()
+    assert len(err) == 1, done.stderr
+    payload = json.loads(err[0])
+    assert payload["error"] == "ConfigError"
+    assert "lr_gamma" in payload["message"]
+
+
+def test_compare_checks_its_out_directory_before_any_run(write_config, tmp_path, capsys):
+    # a run of either config would fail on its missing data file
+    values = {"data.source": "csv", "data.csv": str(tmp_path / "missing.csv"),
+              "train.total_epochs": "2", "train.base_lr": "0.1"}
+    a = write_config(values, name="a.txt")
+    b = write_config({**values, "policy": "dar"}, name="b.txt")
+    out = tmp_path / "no-such-dir" / "table.json"
+    assert main(["compare", "--configs", f"{a},{b}", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    payload = json.loads(err[0])
+    assert payload["error"] == "ConfigError"
+    assert str(out) in payload["message"] and "missing.csv" not in payload["message"]

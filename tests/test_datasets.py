@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +10,9 @@ from dropfresh.datasets import (BadMagicError, Batch, CountMismatchError, Datase
                                 DatasetError, GaussianNoise, HorizontalFlip, IdxPair,
                                 NoAugment, SyntheticSpec, TruncatedPayloadError,
                                 augment, epoch_batches, epoch_seed, gen_gaussian,
-                                load_csv, load_idx, make_batch, save_csv)
+                                load_csv, load_idx, make_batch)
 from dropfresh.datasets import _mix, _uniforms
+from helpers import bit_equal, example_ids, save_csv
 
 
 def idx_image_bytes(images: np.ndarray) -> bytes:
@@ -174,7 +176,7 @@ def test_dataset_subset_reindexes():
     ds = Dataset(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]), class_count=2)
     sub = ds.subset([2, 3])
     assert sub.n == 2
-    assert np.array_equal(sub.ids, [0, 1])
+    assert np.array_equal(example_ids(sub), [0, 1])
     assert np.array_equal(sub.features, ds.features[2:])
     sub.features[0, 0] = -99.0
     assert ds.features[2, 0] == 4.0  # subset owns its memory
@@ -465,3 +467,77 @@ def test_extreme_ids_and_keys_augment_without_warnings():
                 assert np.isfinite(noisy).all() and not np.array_equal(noisy, x)
         ids = np.array([0, 2**62, 2**63 - 1], dtype=np.int64)
         assert np.isfinite(_uniforms(2**32 - 1, ids, 3)).all()
+
+
+def pixel_pair(n: int = 40, side: int = 8, seed: int = 3) -> tuple[Dataset, Dataset]:
+    """The same images as uint8 pixels and as float64 ``u8 / 255.0``; every byte value occurs."""
+    rng = np.random.default_rng(seed)
+    u8 = rng.permutation(np.resize(np.arange(256, dtype=np.uint8), n * side * side))
+    u8 = u8.reshape(n, side * side)
+    labels = rng.integers(0, 10, size=n)
+    return (Dataset(u8, labels, 10, (side, side, 1), pixels=True),
+            Dataset(u8 / 255.0, labels, 10, (side, side, 1)))
+
+
+@pytest.mark.parametrize("policy", [NoAugment(), HorizontalFlip(0.5), GaussianNoise(0.3)])
+def test_make_batch_on_pixels_matches_float_data_bit_for_bit(policy):
+    pixels, floats = pixel_pair()
+    ids = np.array([5, 0, 39, 12, 7, 7, 21, 33, 2, 18, 30, 11])
+    key = epoch_seed(4, 2)
+    got, want = make_batch(pixels, ids, policy, key), make_batch(floats, ids, policy, key)
+    assert got.features.dtype == np.float64
+    assert bit_equal(got.features, want.features)
+    assert got.labels.tolist() == want.labels.tolist()
+    if isinstance(policy, HorizontalFlip):  # both branches occur in this batch
+        flipped = [not np.array_equal(row, floats.features[i]) for i, row in zip(ids, got.features)]
+        assert any(flipped) and not all(flipped)
+
+
+def test_make_batch_flips_pixels_before_converting_them():
+    pixels, floats = pixel_pair()
+    seen = []
+
+    def spy(rows):  # what make_batch hands the conversion
+        seen.append(rows.copy())
+        return Dataset.as_float(pixels, rows)
+
+    pixels.as_float = spy
+    ids = np.arange(40)
+    batch = make_batch(pixels, ids, HorizontalFlip(0.5), epoch_seed(1, 1))
+    assert len(seen) == 1 and seen[0].dtype == np.uint8
+    assert bit_equal(seen[0] / 255.0, batch.features)  # already flipped
+    assert not np.array_equal(batch.features, floats.features)
+
+
+def test_pixel_dataset_keeps_uint8_storage_and_converts_rows_on_read():
+    pixels, floats = pixel_pair()
+    assert pixels.stored.dtype == np.uint8 and pixels.n == 40 and pixels.dim == 64
+    assert bit_equal(pixels.features, floats.features)
+    assert bit_equal(pixels.rows([3, 1]), floats.features[[3, 1]])
+    assert bit_equal(pixels.rows(slice(2, 5)), floats.rows(slice(2, 5)))
+    sub = pixels.subset([4, 9])
+    assert sub.stored.dtype == np.uint8 and sub.pixels
+    assert bit_equal(sub.features, floats.features[[4, 9]])
+    with pytest.raises(DatasetError, match="uint8"):
+        Dataset(floats.features, floats.labels, 10, pixels=True)
+
+
+def test_idx_data_is_held_as_uint8_and_never_as_a_float64_matrix(tmp_path):
+    n, side = 300, 28
+    images = np.resize(np.arange(256, dtype=np.uint8), n * side * side).reshape(n, side, side)
+    image_path, label_path = tmp_path / "images", tmp_path / "labels"
+    image_path.write_bytes(idx_image_bytes(images))
+    label_path.write_bytes(idx_label_bytes(np.arange(n) % 10))
+    tracemalloc.start()
+    try:
+        ds = load_idx(image_path, label_path)
+        train, val = IdxPair(image_path, label_path).take(np.arange(0, n, 2), np.arange(1, n, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * side * side * 8 / 2  # a float64 copy of either half would not fit
+    for split in (ds, train, val):
+        assert split.stored.dtype == np.uint8 and split.pixels
+        assert not [name for name, value in vars(split).items()
+                    if isinstance(value, np.ndarray) and value.dtype == np.float64]
+    assert bit_equal(train.features, images[::2].reshape(-1, side * side) / 255.0)

@@ -7,7 +7,7 @@ import pytest
 
 from dropfresh import datasets, harness
 from dropfresh.config import build_experiment_config
-from dropfresh.datasets import Dataset, load_idx, save_csv
+from dropfresh.datasets import Dataset, load_idx
 from dropfresh.harness import (CompareRow, HarnessError, compare, evaluate,
                                export_features, load_dataset, load_params,
                                metrics_lines, run_experiment,
@@ -15,6 +15,7 @@ from dropfresh.harness import (CompareRow, HarnessError, compare, evaluate,
                                training_population, write_run_outputs)
 from dropfresh.model import ParamSet, init_params, penultimate_features
 from dropfresh.scheduler import planned_cost
+from helpers import bit_equal, example_ids, save_csv
 
 
 def small_values(**overrides):
@@ -53,7 +54,7 @@ def test_load_dataset_split_is_disjoint_and_reindexed():
     cfg = build_experiment_config(small_values())
     train_set, val_set = load_dataset(cfg.data, cfg.run_seed)
     assert train_set.n == 90 and val_set.n == 30
-    assert np.array_equal(train_set.ids, np.arange(90))
+    assert np.array_equal(example_ids(train_set), np.arange(90))
     train_rows = {tuple(row) for row in train_set.features}
     val_rows = {tuple(row) for row in val_set.features}
     assert not train_rows & val_rows
@@ -345,6 +346,8 @@ def test_load_dataset_idx_equals_subsets_of_load_idx(tmp_path, layout):
     cfg = build_experiment_config(idx_values(tmp_path, layout))
     train_set, val_set = load_dataset(cfg.data, cfg.run_seed)
     whole = load_idx(cfg.data.idx_images, cfg.data.idx_labels)
+    for split in (train_set, val_set, whole):  # uint8 pixels, no float64 matrix
+        assert split is None or (split.pixels and split.stored.dtype == np.uint8)
     if layout == "val_fraction 0.2":
         order = np.random.default_rng([5, harness._SPLIT_STREAM]).permutation(25)
         assert same_bytes(train_set, whole.subset(np.sort(order[5:])))
@@ -403,10 +406,13 @@ def test_export_features_format_and_a_failed_export_keeps_the_old_file(tmp_path,
     with pytest.raises(RuntimeError, match="formatting failed"):
         export_features(params, ds, out)
     assert len(formatted) == 5 and out.read_bytes() == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["features.csv"]  # no .tmp left
 
 
 def test_evaluate_overflow_raises_instead_of_warning(tmp_path):
-    huge = ParamSet([np.full((3, 2), 1e300), np.full((2, 3), 1e300)],
+    # first-layer weights of 1e308 overflow in its matmul, which both evaluate and the
+    # export (it stops at the hidden layer) run
+    huge = ParamSet([np.full((3, 2), 1e308), np.full((2, 3), 1e300)],
                     [np.zeros(3), np.zeros(2)])
     ds = Dataset(np.ones((2, 2)), np.array([0, 1]), class_count=2)
     with warnings.catch_warnings():
@@ -440,3 +446,43 @@ def test_load_params_checks_dtype_and_value_count(tmp_path):
     sidecar.write_text(json.dumps({"layer_sizes": [2, 3, 2]}))
     with pytest.raises(HarnessError, match="model.json"):
         load_params(path)
+
+
+def pixel_and_float_sets(n, dim=784, seed=5):
+    """The same uint8 images as a pixel dataset and as float64 ``u8 / 255.0``."""
+    rng = np.random.default_rng(seed)
+    u8 = rng.integers(0, 256, size=(n, dim), dtype=np.uint8)
+    u8.flat[:256] = np.arange(256)  # every byte value occurs
+    labels = rng.integers(0, 10, size=n)
+    return Dataset(u8, labels, 10, pixels=True), Dataset(u8 / 255.0, labels, 10)
+
+
+def test_evaluate_on_pixels_matches_float_data_bit_for_bit(monkeypatch):
+    pixels, floats = pixel_and_float_sets(300)
+    params = init_params([784, 32, 10], seed=2)
+    predict, inputs = harness.model.predict, []
+
+    def spy(params, features):  # the matrix evaluate predicts from
+        inputs.append(features)
+        return predict(params, features)
+
+    monkeypatch.setattr(harness.model, "predict", spy)
+    assert evaluate(params, pixels) == evaluate(params, floats)
+    assert inputs[0].dtype == np.float64 and bit_equal(inputs[0], inputs[1])
+
+
+@pytest.mark.parametrize("hidden", [[], [32], [32, 16]])
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 700])
+def test_export_features_in_row_blocks_matches_the_whole_matrix_product(tmp_path, n, hidden):
+    # OpenBLAS takes another kernel for 784 -> 32 and 784 -> 10 products of a few dozen rows
+    # than for the whole matrix, so 16-row blocks would change the bits; 256-row ones do not
+    pixels, floats = pixel_and_float_sets(n)
+    params = init_params([784, *hidden, 10], seed=n)
+    feats = penultimate_features(params, floats.features)  # one whole-matrix product
+    expected = "id,label," + ",".join(f"f{j}" for j in range(feats.shape[1])) + "\n" + "".join(
+        f"{i},{label}," + ",".join(map(repr, row.tolist())) + "\n"
+        for i, (label, row) in enumerate(zip(floats.labels.tolist(), feats)))
+    for name, ds in (("pixels.csv", pixels), ("floats.csv", floats)):
+        export_features(params, ds, tmp_path / name)
+        matches = (tmp_path / name).read_text() == expected  # no diff of long texts on failure
+        assert matches, name

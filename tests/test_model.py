@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from dropfresh.model import (BatchOutput, ParamSet, TrainHyper, backward, forward,
                              init_params, lr_at, penultimate_features, predict,
-                             sgd_step, softmax, softmax_xent)
+                             sgd_step, softmax_xent)
 from dropfresh.model import loss_and_gradients
 
 import oracles
@@ -159,7 +159,7 @@ def test_softmax_xent_label_validation():
        st.randoms(use_true_random=False))
 def test_softmax_and_loss_properties(logits, rnd):
     labels = np.array([rnd.randrange(logits.shape[1]) for _ in range(logits.shape[0])])
-    probs = softmax(logits)
+    probs = softmax_xent(logits, labels).probabilities
     assert probs.sum(axis=1) == pytest.approx(np.ones(len(logits)), rel=1e-12)
     losses = softmax_xent(logits, labels).per_example_loss
     assert (losses >= 0.0).all()
@@ -274,6 +274,17 @@ def test_train_hyper_validation():
         TrainHyper(base_lr=0.1, lr_gamma=0.0)
 
 
+@pytest.mark.parametrize("base_lr, gamma, milestones", [
+    (1e-300, 1e200, (1, 2)),   # gamma**2 overflows although base_lr * gamma**2 is 1e100
+    (1e300, 1e10, (4,)),       # the decayed rate overflows
+    (1e-300, 1e-30, (2, 3)),   # the decayed rate underflows to zero
+    (math.inf, 0.1, ()),
+])
+def test_train_hyper_rejects_rates_that_leave_the_floats(base_lr, gamma, milestones):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        TrainHyper(base_lr=base_lr, lr_milestones=milestones, lr_gamma=gamma)
+
+
 def test_lr_schedule():
     hyper = TrainHyper(base_lr=0.1, lr_milestones=(30, 60), lr_gamma=0.1)
     assert lr_at(hyper, 1) == 0.1
@@ -281,6 +292,8 @@ def test_lr_schedule():
     assert lr_at(hyper, 31) == pytest.approx(0.01, rel=1e-15)
     assert lr_at(hyper, 60) == pytest.approx(0.01, rel=1e-15)
     assert lr_at(hyper, 61) == pytest.approx(0.001, rel=1e-15)
+    tiny = TrainHyper(base_lr=1e-300, lr_milestones=(1, 2), lr_gamma=1e100)  # in range
+    assert lr_at(tiny, 3) == pytest.approx(1e-100, rel=1e-15)
     with pytest.raises(ValueError, match="epoch"):
         lr_at(hyper, 0)
 
