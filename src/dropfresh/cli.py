@@ -16,6 +16,17 @@ from .harness import (HarnessError, compare, export_features, load_dataset,
                       write_run_outputs)
 
 
+class UsageError(ValueError):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an exception, so ``main`` prints it as its one JSON line."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _add_config_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="key=value config file")
     parser.add_argument("--preset", choices=PRESET_NAMES,
@@ -113,7 +124,7 @@ def _cmd_export_features(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dropfresh",
         description="Train small classifiers under drop-and-refresh sampling schedules.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -145,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, DatasetError, HarnessError, ValueError, OSError) as exc:
         line = json.dumps({"error": type(exc).__name__, "message": str(exc)})

@@ -82,13 +82,6 @@ class Dataset:
         """Rows of ``stored`` as float64: pixels divided by 255, floats as they are."""
         return np.divide(stored_rows, 255.0, dtype=np.float64) if self.pixels else stored_rows
 
-    def subset(self, ids: Sequence[int]) -> "Dataset":
-        """New dataset of the given rows, re-indexed from zero; fancy indexing copies them."""
-        idx = np.asarray(ids, dtype=np.int64)
-        if idx.size == 0:
-            raise DatasetError("subset needs at least one id")
-        return self.take(idx)[0]
-
     def take(self, *row_sets: Union[Sequence[int], slice]) -> list["Dataset"]:
         """A dataset of each row set's rows, re-indexed from zero; ``slice(None)`` is every row."""
         return [Dataset(self.stored[ids], self.labels[ids], self.class_count, self.image_shape,

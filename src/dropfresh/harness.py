@@ -281,14 +281,24 @@ def compare(cfgs: Sequence[ExperimentConfig]) -> list[CompareRow]:
 
 
 def export_features(params: ParamSet, dataset: Dataset, path: Union[str, Path]) -> None:
-    """CSV of per-example embeddings: last hidden activations, else logits; overflow raises."""
+    """CSV of per-example embeddings: last hidden activations, else logits; overflow raises.
+    Every value is written as Python's ``repr`` writes it."""
+    import orjson  # here, not at the top: ``train`` and ``cost`` need not pay for its import
+
     starts = range(0, max(dataset.n - _EXPORT_BLOCK, 0) + 1, _EXPORT_BLOCK)
     blocks = (dataset.rows(slice(lo, hi)) for lo, hi in zip(starts, [*starts[1:], dataset.n]))
     with np.errstate(over="raise", invalid="raise"):
         feats = model.penultimate_features(params, blocks)
+    # orjson's shortest round-trip text is repr's for 0 and 1e-4 <= |x| < 1e16; outside that
+    # it writes 1e-5 and 1e16 (repr: 1e-05, 1e+16), so a row holding such a value (or a NaN,
+    # which fails both tests) goes through repr
+    mag = np.abs(feats)
+    plain = ((mag == 0) | ((mag >= 1e-4) & (mag < 1e16))).all(axis=1).tolist()
     header = "id,label," + ",".join(f"f{j}" for j in range(feats.shape[1])) + "\n"
-    rows = (f"{i},{label}," + ",".join(map(repr, row.tolist())) + "\n"
-            for i, (label, row) in enumerate(zip(dataset.labels.tolist(), feats)))
+    rows = (f"{i},{label}," + (
+        orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode() if fast
+        else ",".join(map(repr, row.tolist()))) + "\n"
+        for i, (label, row, fast) in enumerate(zip(dataset.labels.tolist(), feats, plain)))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(path, header, rows)

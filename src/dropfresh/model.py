@@ -162,7 +162,6 @@ def forward(params: ParamSet, features: np.ndarray) -> np.ndarray:
 class BatchOutput:
     probabilities: np.ndarray
     per_example_loss: np.ndarray
-    mean_loss: float
 
 
 def _check_labels(labels: np.ndarray, batch: int, classes: int) -> np.ndarray:
@@ -196,7 +195,7 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray) -> BatchOutput:
         raise ValueError("non-finite logits")
     labels = _check_labels(labels, logits.shape[0], logits.shape[1])
     probabilities, losses = _xent_core(logits, labels)
-    return BatchOutput(probabilities, losses, float(losses.mean()))
+    return BatchOutput(probabilities, losses)
 
 
 def loss_and_gradients(params: ParamSet, features: np.ndarray, labels: np.ndarray,

@@ -16,6 +16,11 @@ def save_csv(dataset: Dataset, path: Union[str, Path]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def subset(dataset: Dataset, ids) -> Dataset:
+    """A new dataset of rows ``ids``, re-indexed from zero; fancy indexing copies them."""
+    return dataset.take(np.asarray(ids, dtype=np.int64))[0]
+
+
 def example_ids(dataset: Dataset) -> np.ndarray:
     """The dataset's example ids: its row indices."""
     return np.arange(dataset.n)

@@ -360,3 +360,29 @@ def test_compare_checks_its_out_directory_before_any_run(write_config, tmp_path,
     payload = json.loads(err[0])
     assert payload["error"] == "ConfigError"
     assert str(out) in payload["message"] and "missing.csv" not in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [[], ["train"], ["cost", "--config"],
+                                  ["train", "--config", "c.txt", "--seed", "abc"],
+                                  ["train", "--config", "c.txt", "--epochs", "3"]])
+def test_usage_errors_are_one_json_line_and_exit_1(capsys, argv):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    payload = json.loads(err)
+    assert payload["error"] == "UsageError" and payload["message"].startswith("dropfresh")
+
+
+def test_usage_error_exits_1_from_the_command_line_and_help_exits_0(capsys):
+    src = str(Path(dropfresh.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "dropfresh.cli", "train", "--seed", "abc"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 1 and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert "--seed" in json.loads(done.stderr)["message"]
+    for argv in (["--help"], ["train", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dropfresh")

@@ -12,7 +12,7 @@ from dropfresh.datasets import (BadMagicError, Batch, CountMismatchError, Datase
                                 augment, epoch_batches, epoch_seed, gen_gaussian,
                                 load_csv, load_idx, make_batch)
 from dropfresh.datasets import _mix, _uniforms
-from helpers import bit_equal, example_ids, save_csv
+from helpers import bit_equal, example_ids, save_csv, subset
 
 
 def idx_image_bytes(images: np.ndarray) -> bytes:
@@ -174,7 +174,7 @@ def test_dataset_validation():
 
 def test_dataset_subset_reindexes():
     ds = Dataset(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]), class_count=2)
-    sub = ds.subset([2, 3])
+    sub = subset(ds, [2, 3])
     assert sub.n == 2
     assert np.array_equal(example_ids(sub), [0, 1])
     assert np.array_equal(sub.features, ds.features[2:])
@@ -186,14 +186,14 @@ def test_dataset_subset_reindexes():
 def test_dataset_subset_accepts_lists_and_arrays_and_shares_no_memory(ids):
     ds = Dataset(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]), class_count=2,
                  image_shape=(1, 2, 1))
-    sub = ds.subset(ids)
+    sub = subset(ds, ids)
     assert sub.features.tolist() == [[6.0, 7.0], [2.0, 3.0]]
     assert sub.labels.tolist() == [1, 1]
     assert (sub.class_count, sub.image_shape) == (2, (1, 2, 1))
     assert not np.shares_memory(sub.features, ds.features)
     assert not np.shares_memory(sub.labels, ds.labels)
-    with pytest.raises(DatasetError, match="at least one id"):
-        ds.subset([])
+    with pytest.raises(DatasetError, match="n >= 1"):
+        subset(ds, [])
 
 
 def test_gen_gaussian_layout_and_determinism():
@@ -515,7 +515,7 @@ def test_pixel_dataset_keeps_uint8_storage_and_converts_rows_on_read():
     assert bit_equal(pixels.features, floats.features)
     assert bit_equal(pixels.rows([3, 1]), floats.features[[3, 1]])
     assert bit_equal(pixels.rows(slice(2, 5)), floats.rows(slice(2, 5)))
-    sub = pixels.subset([4, 9])
+    sub = subset(pixels, [4, 9])
     assert sub.stored.dtype == np.uint8 and sub.pixels
     assert bit_equal(sub.features, floats.features[[4, 9]])
     with pytest.raises(DatasetError, match="uint8"):

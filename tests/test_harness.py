@@ -1,9 +1,11 @@
-import builtins
 import json
 import warnings
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dropfresh import datasets, harness
 from dropfresh.config import build_experiment_config
@@ -15,7 +17,7 @@ from dropfresh.harness import (CompareRow, HarnessError, compare, evaluate,
                                training_population, write_run_outputs)
 from dropfresh.model import ParamSet, init_params, penultimate_features
 from dropfresh.scheduler import planned_cost
-from helpers import bit_equal, example_ids, save_csv
+from helpers import bit_equal, example_ids, save_csv, subset
 
 
 def small_values(**overrides):
@@ -350,10 +352,10 @@ def test_load_dataset_idx_equals_subsets_of_load_idx(tmp_path, layout):
         assert split is None or (split.pixels and split.stored.dtype == np.uint8)
     if layout == "val_fraction 0.2":
         order = np.random.default_rng([5, harness._SPLIT_STREAM]).permutation(25)
-        assert same_bytes(train_set, whole.subset(np.sort(order[5:])))
-        assert same_bytes(val_set, whole.subset(np.sort(order[:5])))
+        assert same_bytes(train_set, subset(whole, np.sort(order[5:])))
+        assert same_bytes(val_set, subset(whole, np.sort(order[:5])))
     else:
-        assert same_bytes(train_set, whole.subset(np.arange(25)))
+        assert same_bytes(train_set, subset(whole, np.arange(25)))
     if layout == "val_fraction 0":
         assert val_set is None
     if layout == "explicit validation":
@@ -394,18 +396,18 @@ def test_export_features_format_and_a_failed_export_keeps_the_old_file(tmp_path,
         for i, (label, row) in enumerate(zip([1, 0, 1], feats)))
     assert out.read_text() == expected
     before = out.read_bytes()
-    formatted = []
+    dumps, formatted = orjson.dumps, []
 
-    def failing_repr(value):  # the harness formats with repr; fail on the second row
-        formatted.append(value)
-        if len(formatted) > 4:
+    def failing_dumps(row, **options):  # orjson formats each of these rows; fail on the second
+        formatted.append(row)
+        if len(formatted) > 1:
             raise RuntimeError("formatting failed")
-        return builtins.repr(value)
+        return dumps(row, **options)
 
-    monkeypatch.setattr(harness, "repr", failing_repr, raising=False)
+    monkeypatch.setattr(orjson, "dumps", failing_dumps)
     with pytest.raises(RuntimeError, match="formatting failed"):
         export_features(params, ds, out)
-    assert len(formatted) == 5 and out.read_bytes() == before
+    assert len(formatted) == 2 and out.read_bytes() == before
     assert sorted(path.name for path in tmp_path.iterdir()) == ["features.csv"]  # no .tmp left
 
 
@@ -486,3 +488,45 @@ def test_export_features_in_row_blocks_matches_the_whole_matrix_product(tmp_path
         export_features(params, ds, tmp_path / name)
         matches = (tmp_path / name).read_text() == expected  # no diff of long texts on failure
         assert matches, name
+
+
+def orjson_text(x):
+    """How the export writes one value of an ordinary row."""
+    return orjson.dumps(np.array([x]), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.just(0.0), st.floats(1e-4, 1e16, exclude_max=True)), st.booleans())
+@example(1e-4, False)
+@example(float(np.nextafter(1e16, 0)), True)
+@example(2.0 ** 53, False)
+@example(0.1, False)
+@example(0.0, True)  # -0.0
+def test_orjson_writes_repr_text_for_zero_and_magnitudes_from_1e_4_below_1e16(size, negative):
+    x = -size if negative else size
+    assert orjson_text(x) == repr(x)
+
+
+def test_export_features_sends_rows_with_other_magnitudes_through_repr(tmp_path, monkeypatch):
+    # a one-layer identity model exports its input; each of the first four rows holds a value
+    # that is not 0 and lies outside [1e-4, 1e16), and orjson writes three of them as 9.9e-5,
+    # 1e16 and -2e16 where repr writes 9.9e-05, 1e+16 and -2e+16
+    x = np.array([[0.5, 9.9e-5, 3.0], [5e-324, 1.0, 2.0], [1e16, 0.25, -1.5],
+                  [-2e16, 1e-4, 7.0], [0.1, 2.0 ** 53, -0.0], [1.5, 0.0, 1e-4]])
+    ds = Dataset(x, np.arange(6) % 2, class_count=2)
+    params = ParamSet([np.eye(3)], [np.zeros(3)])
+    feats = penultimate_features(params, x)
+    expected = "id,label,f0,f1,f2\n" + "".join(
+        f"{i},{label}," + ",".join(map(repr, row.tolist())) + "\n"
+        for i, (label, row) in enumerate(zip(ds.labels.tolist(), feats)))
+    assert sum(repr(v) != orjson_text(v) for v in feats[:4].ravel().tolist()) == 3
+    dumps, dumped = orjson.dumps, []
+
+    def spy(row, **options):
+        dumped.append(row.tolist())
+        return dumps(row, **options)
+
+    monkeypatch.setattr(orjson, "dumps", spy)
+    export_features(params, ds, tmp_path / "f.csv")
+    assert (tmp_path / "f.csv").read_text() == expected
+    assert dumped == feats[4:].tolist()  # only the rows of 0 and 1e-4 <= |x| < 1e16

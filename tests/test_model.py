@@ -138,8 +138,12 @@ def test_softmax_xent_extreme_logits_stay_finite():
 
 def test_softmax_xent_mean_is_mean():
     logits = np.array([[0.1, 0.9], [2.0, -2.0], [0.0, 0.0]])
-    out = softmax_xent(logits, np.array([0, 1, 0]))
-    assert out.mean_loss == float(np.mean(out.per_example_loss))
+    labels = [0, 1, 0]
+    out = softmax_xent(logits, np.array(labels))
+    expected = [math.log(sum(math.exp(v) for v in row)) - row[y]
+                for row, y in zip(logits.tolist(), labels)]
+    assert float(np.mean(out.per_example_loss)) == pytest.approx(math.fsum(expected) / 3,
+                                                                 rel=1e-12)
     assert isinstance(out, BatchOutput)
 
 

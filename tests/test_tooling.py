@@ -1,9 +1,17 @@
+import ast
 import functools
 import importlib
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_benchmark_tracer_targets_resolve():
@@ -17,3 +25,29 @@ def test_benchmark_tracer_targets_resolve():
         for name in names:
             target = functools.reduce(getattr, name.split("."), module)
             assert callable(target), f"dropfresh.{module_name}.{name}"
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    imported = set()
+    for path in (ROOT / "src" / "dropfresh").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"dropfresh"}
+    assert {"numpy", "orjson"} <= third_party  # the walk sees top-level and local imports
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep)[0].lower().replace("-", "_")
+                for dep in project["dependencies"]}
+    assert third_party <= declared, sorted(third_party - declared)
+
+
+def test_importing_dropfresh_does_not_import_orjson():
+    # only export_features uses it, and its import takes about 11 ms that train, cost and
+    # compare would pay for nothing
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, dropfresh, dropfresh.cli; print('orjson' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.stdout.strip() == "False", done.stderr
