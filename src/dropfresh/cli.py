@@ -159,8 +159,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, DatasetError, HarnessError, ValueError, OSError) as exc:
-        line = json.dumps({"error": type(exc).__name__, "message": str(exc)})
+    except (ConfigError, DatasetError, HarnessError, ValueError, OSError, MemoryError) as exc:
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        line = json.dumps({"error": kind, "message": str(exc)})
         print(line, file=sys.stderr)
         return 1
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Any, Mapping, Union
 
 import numpy as np
 
@@ -21,28 +21,35 @@ _MEANS_STREAM = 5
 
 POLICIES = ("dar", "uniform", "reweight")
 
-_KNOWN_KEYS = frozenset({
-    "data.source", "data.csv", "data.idx_images", "data.idx_labels",
-    "data.class_count", "data.val_fraction", "data.val_csv",
-    "data.val_idx_images", "data.val_idx_labels",
-    "data.augment", "data.augment_sigma", "data.augment_prob",
-    "synthetic.classes", "synthetic.dim", "synthetic.per_class",
-    "synthetic.std", "synthetic.mean_scale", "synthetic.seed",
-    "model.hidden",
-    "train.total_epochs", "train.base_lr", "train.momentum", "train.weight_decay",
-    "train.lr_milestones", "train.lr_gamma", "train.batch_size",
-    "policy",
-    "dar.warmup_epochs", "dar.interval_epochs", "dar.keep_rate",
-    "dar.active_epochs", "dar.refresh_epochs",
-    "run.seed", "run.out_dir",
-})
-
-_SOURCE_KEYS = {
-    "csv": {"data.csv"},
-    "idx": {"data.idx_images", "data.idx_labels"},
-    "synthetic": {"synthetic.classes", "synthetic.dim", "synthetic.per_class",
-                  "synthetic.std", "synthetic.mean_scale", "synthetic.seed"},
+# Each key's kind and default. "ints" and "floats" are comma-separated lists. An unset or
+# empty key takes its default, as does an "ints" value of "none" or with no entries.
+_KEYS: dict[str, tuple[str, Any]] = {
+    "data.source": ("text", None), "data.csv": ("text", None),
+    "data.idx_images": ("text", None), "data.idx_labels": ("text", None),
+    "data.class_count": ("int", None), "data.val_fraction": ("float", 0.0),
+    "data.val_csv": ("text", None), "data.val_idx_images": ("text", None),
+    "data.val_idx_labels": ("text", None), "data.augment": ("text", "none"),
+    "data.augment_sigma": ("float", 0.1), "data.augment_prob": ("float", 0.5),
+    "synthetic.classes": ("int", 2), "synthetic.dim": ("int", 2),
+    "synthetic.per_class": ("ints", (100,)), "synthetic.std": ("floats", (1.0,)),
+    "synthetic.mean_scale": ("float", 1.0), "synthetic.seed": ("int", 0),
+    "model.hidden": ("ints", ()), "policy": ("text", "uniform"),
+    "train.total_epochs": ("int", None), "train.base_lr": ("float", None),
+    "train.momentum": ("float", 0.0), "train.weight_decay": ("float", 0.0),
+    "train.lr_milestones": ("ints", ()), "train.lr_gamma": ("float", 0.1),
+    "train.batch_size": ("int", 32),
+    "dar.warmup_epochs": ("int", 0), "dar.interval_epochs": ("int", 1),
+    "dar.keep_rate": ("float", 1.0), "dar.refresh_epochs": ("ints", ()),
+    "dar.active_epochs": ("int", None),  # "unbounded" or "none" also give None
+    "run.seed": ("int", 0), "run.out_dir": ("text", None),
 }
+
+_KINDS = {"int": (int, "an integer"), "float": (float, "a number"),
+          "ints": (int, "comma-separated integers"), "floats": (float, "comma-separated numbers")}
+
+# the keys that name each source's data; a config sets only its own source's keys
+_SOURCE_KEYS = {"csv": ("data.csv",), "idx": ("data.idx_images", "data.idx_labels"),
+                "synthetic": tuple(key for key in _KEYS if key.startswith("synthetic."))}
 
 
 class ConfigError(ValueError):
@@ -67,52 +74,22 @@ def read_config_file(path: Union[str, Path]) -> dict[str, str]:
     return parse_config_text(Path(path).read_text())
 
 
-def _get(values: Mapping[str, str], key: str, default: str | None = None) -> str | None:
+def _get(values: Mapping[str, str], key: str) -> Any:
+    """``key``'s value parsed as its ``_KEYS`` kind, or its default."""
+    kind, default = _KEYS[key]
     raw = values.get(key)
-    if raw is None or raw == "":
-        return default
-    return raw
-
-
-def _get_int(values: Mapping[str, str], key: str, default: int | None = None) -> int | None:
-    raw = _get(values, key)
-    if raw is None:
-        return default
+    if not raw or kind == "text":
+        return raw or default
+    parse, expected = _KINDS[kind]
     try:
-        return int(raw)
+        if kind in ("int", "float"):
+            return parse(raw)
+        if kind == "ints" and raw.lower() == "none":
+            return default
+        parts = tuple(parse(part.strip()) for part in raw.split(",") if part.strip())
     except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-
-
-def _get_float(values: Mapping[str, str], key: str,
-               default: float | None = None) -> float | None:
-    raw = _get(values, key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-
-
-def _get_int_list(values: Mapping[str, str], key: str) -> tuple[int, ...]:
-    raw = _get(values, key)
-    if raw is None or raw.lower() == "none":
-        return ()
-    try:
-        return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated integers, got {raw!r}") from None
-
-
-def _get_float_list(values: Mapping[str, str], key: str) -> tuple[float, ...] | None:
-    raw = _get(values, key)
-    if raw is None:
-        return None
-    try:
-        return tuple(float(part.strip()) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}") from None
+        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
+    return default if kind == "ints" and not parts else parts
 
 
 @dataclass(frozen=True)
@@ -148,20 +125,21 @@ class ExperimentConfig:
 
 
 def _synthetic_from(values: Mapping[str, str]) -> SyntheticSpec:
-    classes = _get_int(values, "synthetic.classes", 2)
-    dim = _get_int(values, "synthetic.dim", 2)
+    classes = _get(values, "synthetic.classes")
+    dim = _get(values, "synthetic.dim")
     if classes < 2 or dim < 1:
         raise ConfigError(f"synthetic.classes >= 2 and synthetic.dim >= 1 required, "
                           f"got {classes}, {dim}")
-    per_class = _get_int_list(values, "synthetic.per_class") or (100,)
+    per_class = _get(values, "synthetic.per_class")
     counts = per_class * classes if len(per_class) == 1 else per_class
     if len(counts) != classes:
         raise ConfigError(f"synthetic.per_class: expected 1 or {classes} entries, "
                           f"got {len(per_class)}")
-    stds = _get_float_list(values, "synthetic.std")
-    stds = (1.0,) if stds is None else stds
-    scale = _get_float(values, "synthetic.mean_scale", 1.0)
-    seed = _get_int(values, "synthetic.seed", 0)
+    stds = _get(values, "synthetic.std")
+    scale = _get(values, "synthetic.mean_scale")
+    seed = _get(values, "synthetic.seed")
+    if seed < 0:
+        raise ConfigError(f"synthetic.seed must be >= 0, got {seed}")
     rng = np.random.default_rng([seed, _MEANS_STREAM])
     means_arr = rng.normal(0.0, scale, size=(classes, dim))
     means = tuple(tuple(float(x) for x in row) for row in means_arr)
@@ -169,13 +147,13 @@ def _synthetic_from(values: Mapping[str, str]) -> SyntheticSpec:
 
 
 def _augment_from(values: Mapping[str, str]) -> AugmentPolicy:
-    name = _get(values, "data.augment", "none")
+    name = _get(values, "data.augment")
     if name == "none":
         return NoAugment()
     if name == "gaussian_noise":
-        return GaussianNoise(sigma=_get_float(values, "data.augment_sigma", 0.1))
+        return GaussianNoise(sigma=_get(values, "data.augment_sigma"))
     if name == "horizontal_flip":
-        return HorizontalFlip(prob=_get_float(values, "data.augment_prob", 0.5))
+        return HorizontalFlip(prob=_get(values, "data.augment_prob"))
     raise ConfigError(f"data.augment: unknown policy {name!r}")
 
 
@@ -183,19 +161,17 @@ def _data_from(values: Mapping[str, str]) -> DataConfig:
     source = _get(values, "data.source")
     if source not in _SOURCE_KEYS:
         raise ConfigError(f"data.source must be one of {sorted(_SOURCE_KEYS)}, got {source!r}")
-    for other, keys in _SOURCE_KEYS.items():
-        if other != source:
-            stray = sorted(k for k in keys if _get(values, k) is not None)
-            if stray:
-                raise ConfigError(
-                    f"data.source={source} but {stray[0]} is set; configs use exactly "
-                    f"one dataset source")
-    val_fraction = _get_float(values, "data.val_fraction", 0.0)
+    # whether a key is set is read from its raw value, never its default
+    stray = sorted(key for other, keys in _SOURCE_KEYS.items() if other != source
+                   for key in keys if values.get(key))
+    if stray:
+        raise ConfigError(f"data.source={source} but {stray[0]} is set; configs use exactly "
+                          f"one dataset source")
+    val_fraction = _get(values, "data.val_fraction")
     if not 0.0 <= val_fraction <= 0.5:
         raise ConfigError(f"data.val_fraction must be in [0, 0.5], got {val_fraction}")
-    explicit_val = any(_get(values, k) is not None for k in
-                       ("data.val_csv", "data.val_idx_images", "data.val_idx_labels"))
-    if explicit_val and val_fraction > 0.0:
+    explicit_val = ("data.val_csv", "data.val_idx_images", "data.val_idx_labels")
+    if val_fraction > 0.0 and any(values.get(k) for k in explicit_val):
         raise ConfigError("set data.val_fraction or an explicit validation file, not both")
     cfg = DataConfig(
         source=source,
@@ -203,85 +179,75 @@ def _data_from(values: Mapping[str, str]) -> DataConfig:
         idx_images=_get(values, "data.idx_images"),
         idx_labels=_get(values, "data.idx_labels"),
         synthetic=_synthetic_from(values) if source == "synthetic" else None,
-        class_count=_get_int(values, "data.class_count"),
+        class_count=_get(values, "data.class_count"),
         val_fraction=val_fraction,
         val_csv_path=_get(values, "data.val_csv"),
         val_idx_images=_get(values, "data.val_idx_images"),
         val_idx_labels=_get(values, "data.val_idx_labels"),
         augment=_augment_from(values),
     )
-    if source == "csv" and cfg.csv_path is None:
-        raise ConfigError("data.source=csv requires data.csv")
-    if source == "idx" and (cfg.idx_images is None or cfg.idx_labels is None):
-        raise ConfigError("data.source=idx requires data.idx_images and data.idx_labels")
+    if source != "synthetic" and not all(values.get(k) for k in _SOURCE_KEYS[source]):
+        raise ConfigError(f"data.source={source} requires {' and '.join(_SOURCE_KEYS[source])}")
     if (cfg.val_idx_images is None) != (cfg.val_idx_labels is None):
         raise ConfigError("data.val_idx_images and data.val_idx_labels go together")
     return cfg
 
 
 def build_experiment_config(values: Mapping[str, str]) -> ExperimentConfig:
-    unknown = sorted(set(values) - _KNOWN_KEYS)
+    unknown = sorted(set(values) - _KEYS.keys())
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
 
-    epochs = _get_int(values, "train.total_epochs")
+    epochs = _get(values, "train.total_epochs")
     if epochs is None:
         raise ConfigError("train.total_epochs is required")
-    base_lr = _get_float(values, "train.base_lr")
+    base_lr = _get(values, "train.base_lr")
     if base_lr is None:
         raise ConfigError("train.base_lr is required")
 
-    milestones = _get_int_list(values, "train.lr_milestones")
+    milestones = _get(values, "train.lr_milestones")
     if any(not 0 < m <= epochs for m in milestones):
         raise ConfigError(f"train.lr_milestones must lie in (0, {epochs}], got {milestones}")
-    try:
-        train = TrainHyper(
-            base_lr=base_lr,
-            momentum=_get_float(values, "train.momentum", 0.0),
-            weight_decay=_get_float(values, "train.weight_decay", 0.0),
-            lr_milestones=milestones,
-            lr_gamma=_get_float(values, "train.lr_gamma", 0.1),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    policy = _get(values, "policy", "uniform")
-    if policy not in POLICIES:
-        raise ConfigError(f"policy must be one of {POLICIES}, got {policy!r}")
-
-    active_raw = _get(values, "dar.active_epochs")
-    if active_raw is None or active_raw.lower() in ("unbounded", "none"):
-        active: int | None = None
-    else:
-        active = _get_int(values, "dar.active_epochs")
-    try:
+    try:  # the dataclasses' own ValueErrors are reported as ConfigErrors
+        train = TrainHyper(base_lr=base_lr, momentum=_get(values, "train.momentum"),
+                           weight_decay=_get(values, "train.weight_decay"),
+                           lr_milestones=milestones, lr_gamma=_get(values, "train.lr_gamma"))
+        policy = _get(values, "policy")
+        if policy not in POLICIES:
+            raise ConfigError(f"policy must be one of {POLICIES}, got {policy!r}")
+        unbounded = values.get("dar.active_epochs", "").lower() in ("unbounded", "none")
+        active = None if unbounded else _get(values, "dar.active_epochs")
         dar = DarConfig(
             total_epochs=epochs,
-            warmup_epochs=_get_int(values, "dar.warmup_epochs", 0),
-            interval_epochs=_get_int(values, "dar.interval_epochs", 1),
-            keep_rate=_get_float(values, "dar.keep_rate", 1.0),
+            warmup_epochs=_get(values, "dar.warmup_epochs"),
+            interval_epochs=_get(values, "dar.interval_epochs"),
+            keep_rate=_get(values, "dar.keep_rate"),
             active_epochs=active,
-            refresh_epochs=_get_int_list(values, "dar.refresh_epochs"),
+            refresh_epochs=_get(values, "dar.refresh_epochs"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    batch_size = _get_int(values, "train.batch_size", 32)
+    batch_size = _get(values, "train.batch_size")
     if batch_size < 1:
         raise ConfigError(f"train.batch_size must be >= 1, got {batch_size}")
 
-    hidden = _get_int_list(values, "model.hidden")
+    hidden = _get(values, "model.hidden")
     if any(h < 1 for h in hidden):
         raise ConfigError(f"model.hidden sizes must be >= 1, got {hidden}")
 
+    data = _data_from(values)
+    run_seed = _get(values, "run.seed")
+    if run_seed < 0:
+        raise ConfigError(f"run.seed must be >= 0, got {run_seed}")
     return ExperimentConfig(
-        data=_data_from(values),
+        data=data,
         hidden_layers=hidden,
         train=train,
         dar=dar,
         policy=policy,
         batch_size=batch_size,
-        run_seed=_get_int(values, "run.seed", 0),
+        run_seed=run_seed,
         out_dir=_get(values, "run.out_dir"),
         echo=dict(sorted(values.items())),
     )
@@ -298,7 +264,7 @@ def apply_preset(values: Mapping[str, str], name: str) -> dict[str, str]:
     """
     if name not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    epochs = _get_int(values, "train.total_epochs")
+    epochs = _get(values, "train.total_epochs")
     if epochs is None:
         raise ConfigError("presets need train.total_epochs in the config")
     if epochs < 4:

@@ -217,7 +217,8 @@ def gen_gaussian(spec: SyntheticSpec) -> Dataset:
     blocks, labels = [], []
     for cls, count in enumerate(spec.counts):
         noise = rng.standard_normal(size=(count, means.shape[1]))
-        blocks.append(means[cls] + stds[cls] * noise)
+        with np.errstate(over="ignore", invalid="ignore"):  # Dataset rejects non-finite values
+            blocks.append(means[cls] + stds[cls] * noise)
         labels.append(np.full(count, cls, dtype=np.int64))
     return Dataset(np.concatenate(blocks), np.concatenate(labels), len(spec.counts))
 

@@ -386,3 +386,34 @@ def test_usage_error_exits_1_from_the_command_line_and_help_exits_0(capsys):
             main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: dropfresh")
+
+
+@pytest.mark.parametrize("command, key", [("cost", "synthetic.dim"), ("train", "model.hidden")])
+def test_an_unallocatable_size_is_one_json_line(write_config, capsys, command, key):
+    # 10**15 float64 values exceed any address space, so the allocation fails at once
+    path = write_config({**TOY_VALUES, key: "1000000000000000"})
+    assert main([command, "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    payload = json.loads(err)
+    assert payload["error"] == "MemoryError" and "Unable to allocate" in payload["message"]
+
+
+def test_synthetic_overflow_is_one_json_line_without_a_warning(write_config):
+    path = write_config({**TOY_VALUES, "synthetic.per_class": "400", "synthetic.std": "1e308"})
+    src = str(Path(dropfresh.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run([sys.executable, "-m", "dropfresh.cli", "cost", "--config",
+                           str(path)], capture_output=True, text=True, env=env)
+    assert done.returncode == 1 and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert json.loads(done.stderr) == {"error": "DatasetError",
+                                       "message": "non-finite feature values"}
+
+
+def test_seed_flag_rejects_a_negative_seed_naming_the_key(write_config, capsys):
+    path = write_config(TOY_VALUES)
+    assert main(["train", "--config", str(path), "--seed", "-1"]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload == {"error": "ConfigError", "message": "run.seed must be >= 0, got -1"}

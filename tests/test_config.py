@@ -1,5 +1,10 @@
+import operator
+import re
+from pathlib import Path
+
 import pytest
 
+from dropfresh import config
 from dropfresh.config import (ConfigError, apply_preset, build_experiment_config,
                               parse_config_text, read_config_file)
 from dropfresh.datasets import GaussianNoise, NoAugment
@@ -201,3 +206,37 @@ def test_preset_errors():
         apply_preset({"train.base_lr": "0.1"}, "desk-default")
     with pytest.raises(ConfigError, match=">= 4"):
         apply_preset(minimal_values(**{"train.total_epochs": "3"}), "desk-default")
+
+
+@pytest.mark.parametrize("overrides, field, expected", [
+    ({"train.batch_size": ""}, "batch_size", 32),  # an empty value means the default
+    ({"synthetic.per_class": "none"}, "data.synthetic.counts", (100, 100, 100)),
+    ({"synthetic.per_class": "NONE"}, "data.synthetic.counts", (100, 100, 100)),
+    ({"synthetic.per_class": ","}, "data.synthetic.counts", (100, 100, 100)),
+    ({"model.hidden": "none"}, "hidden_layers", ()),
+    ({"synthetic.std": "none"}, None, r"^synthetic\.std: expected comma-separated numbers"),
+    ({"dar.active_epochs": "None"}, "dar.active_epochs", None),
+    ({"data.augment_sigma": "abc"}, "data.augment", NoAugment()),  # read only when used
+    ({"dar.active_epochs": "x", "dar.warmup_epochs": "y"}, None, r"^dar\.active_epochs: "),
+])
+def test_parsing_quirks(overrides, field, expected):
+    if field is None:  # the first error found is the one reported
+        with pytest.raises(ConfigError, match=expected):
+            build_experiment_config(minimal_values(**overrides))
+    else:
+        cfg = build_experiment_config(minimal_values(**overrides))
+        assert operator.attrgetter(field)(cfg) == expected
+
+
+@pytest.mark.parametrize("key", ["run.seed", "synthetic.seed"])
+def test_negative_seeds_are_rejected_naming_the_key(key):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be >= 0, got -1$"):
+        build_experiment_config(minimal_values(**{key: "-1"}))
+
+
+def test_readme_config_table_lists_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Config reference", 1)[1].split("\n\n", 2)[1]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    keys = {key for row in rows for key in re.findall(r"`([^`]+)`", row.split(" | ")[0])}
+    assert keys == set(config._KEYS)
