@@ -6,6 +6,7 @@ from its own output.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Union
@@ -92,6 +93,16 @@ def _get(values: Mapping[str, str], key: str) -> Any:
     return default if kind == "ints" and not parts else parts
 
 
+def _get_in(values: Mapping[str, str], key: str, low: float, high: float = math.inf) -> Any:
+    """``_get``, then a ConfigError naming ``key`` unless the value, or each entry of a list,
+    is finite and in [low, high]; NaN never is."""
+    value = _get(values, key)
+    if not all(low <= v <= high and math.isfinite(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+        raise ConfigError(f"{key} must be finite and in [{low}, {high}], got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class DataConfig:
     source: str
@@ -130,13 +141,15 @@ def _synthetic_from(values: Mapping[str, str]) -> SyntheticSpec:
     if classes < 2 or dim < 1:
         raise ConfigError(f"synthetic.classes >= 2 and synthetic.dim >= 1 required, "
                           f"got {classes}, {dim}")
-    per_class = _get(values, "synthetic.per_class")
+    per_class = _get_in(values, "synthetic.per_class", 1)
     counts = per_class * classes if len(per_class) == 1 else per_class
     if len(counts) != classes:
         raise ConfigError(f"synthetic.per_class: expected 1 or {classes} entries, "
                           f"got {len(per_class)}")
-    stds = _get(values, "synthetic.std")
-    scale = _get(values, "synthetic.mean_scale")
+    stds = _get_in(values, "synthetic.std", 0.0)
+    if len(stds) not in (1, classes):
+        raise ConfigError(f"synthetic.std: expected 1 or {classes} entries, got {len(stds)}")
+    scale = _get_in(values, "synthetic.mean_scale", 0.0)
     seed = _get(values, "synthetic.seed")
     if seed < 0:
         raise ConfigError(f"synthetic.seed must be >= 0, got {seed}")
@@ -151,9 +164,9 @@ def _augment_from(values: Mapping[str, str]) -> AugmentPolicy:
     if name == "none":
         return NoAugment()
     if name == "gaussian_noise":
-        return GaussianNoise(sigma=_get(values, "data.augment_sigma"))
+        return GaussianNoise(sigma=_get_in(values, "data.augment_sigma", 0.0))
     if name == "horizontal_flip":
-        return HorizontalFlip(prob=_get(values, "data.augment_prob"))
+        return HorizontalFlip(prob=_get_in(values, "data.augment_prob", 0.0, 1.0))
     raise ConfigError(f"data.augment: unknown policy {name!r}")
 
 
@@ -210,7 +223,7 @@ def build_experiment_config(values: Mapping[str, str]) -> ExperimentConfig:
         raise ConfigError(f"train.lr_milestones must lie in (0, {epochs}], got {milestones}")
     try:  # the dataclasses' own ValueErrors are reported as ConfigErrors
         train = TrainHyper(base_lr=base_lr, momentum=_get(values, "train.momentum"),
-                           weight_decay=_get(values, "train.weight_decay"),
+                           weight_decay=_get_in(values, "train.weight_decay", 0.0),
                            lr_milestones=milestones, lr_gamma=_get(values, "train.lr_gamma"))
         policy = _get(values, "policy")
         if policy not in POLICIES:

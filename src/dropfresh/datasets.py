@@ -74,8 +74,8 @@ class Dataset:
         """The float64 (n, d) matrix; pixels are converted, all of them, on each access."""
         return self.as_float(self.stored)
 
-    def rows(self, ids: Union[Sequence[int], slice] = slice(None)) -> np.ndarray:
-        """float64 rows ``ids`` (every row by default)."""
+    def rows(self, ids: Union[Sequence[int], slice]) -> np.ndarray:
+        """float64 rows ``ids``."""
         return self.as_float(self.stored[ids])
 
     def as_float(self, stored_rows: np.ndarray) -> np.ndarray:

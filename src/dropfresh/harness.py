@@ -14,7 +14,7 @@ import os
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -26,9 +26,9 @@ from .model import ParamSet, init_params, lr_at
 from .scheduler import LossLedger
 
 _SPLIT_STREAM = 1
-# The export's first layer runs on blocks of this many rows, the last up to twice as many: on
+# Evaluation and the export run on blocks of this many rows, the last up to twice as many: on
 # OpenBLAS 0.3.31 each row then gets the bits of the whole product (fewer rows can change them)
-_EXPORT_BLOCK = 256
+_ROW_BLOCK = 256
 
 
 class HarnessError(RuntimeError):
@@ -67,10 +67,21 @@ def load_dataset(data: DataConfig, run_seed: int) -> tuple[Dataset, Dataset | No
     return sets[0], sets[1] if len(sets) > 1 else None
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Consecutive row slices covering ``n`` rows: ``_ROW_BLOCK`` rows each, the last taking
+    the rest (so one block when ``n`` is below twice that)."""
+    starts = range(0, max(n - _ROW_BLOCK, 0) + 1, _ROW_BLOCK)
+    return [slice(lo, hi) for lo, hi in zip(starts, [*starts[1:], n])]
+
+
 def evaluate(params: ParamSet, dataset: Dataset) -> float:
-    """Plain accuracy; no augmentation is applied at evaluation time; overflow raises."""
+    """Plain accuracy; no augmentation is applied at evaluation time; overflow raises.
+    Rows are converted and predicted one row block at a time."""
     with np.errstate(over="raise", invalid="raise"):
-        return float(np.mean(model.predict(params, dataset.rows()) == dataset.labels))
+        correct = sum(np.count_nonzero(model.predict(params, dataset.rows(block))
+                                       == dataset.labels[block])
+                      for block in _row_blocks(dataset.n))
+    return int(correct) / dataset.n  # the correctly rounded ratio, as np.mean gives it
 
 
 @dataclass(frozen=True)
@@ -282,26 +293,30 @@ def compare(cfgs: Sequence[ExperimentConfig]) -> list[CompareRow]:
 
 def export_features(params: ParamSet, dataset: Dataset, path: Union[str, Path]) -> None:
     """CSV of per-example embeddings: last hidden activations, else logits; overflow raises.
-    Every value is written as Python's ``repr`` writes it."""
+    Every value is written as Python's ``repr`` writes it. Rows are converted, run through the
+    model and written one row block at a time."""
     import orjson  # here, not at the top: ``train`` and ``cost`` need not pay for its import
 
-    starts = range(0, max(dataset.n - _EXPORT_BLOCK, 0) + 1, _EXPORT_BLOCK)
-    blocks = (dataset.rows(slice(lo, hi)) for lo, hi in zip(starts, [*starts[1:], dataset.n]))
-    with np.errstate(over="raise", invalid="raise"):
-        feats = model.penultimate_features(params, blocks)
-    # orjson's shortest round-trip text is repr's for 0 and 1e-4 <= |x| < 1e16; outside that
-    # it writes 1e-5 and 1e16 (repr: 1e-05, 1e+16), so a row holding such a value (or a NaN,
-    # which fails both tests) goes through repr
-    mag = np.abs(feats)
-    plain = ((mag == 0) | ((mag >= 1e-4) & (mag < 1e16))).all(axis=1).tolist()
-    header = "id,label," + ",".join(f"f{j}" for j in range(feats.shape[1])) + "\n"
-    rows = (f"{i},{label}," + (
-        orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode() if fast
-        else ",".join(map(repr, row.tolist()))) + "\n"
-        for i, (label, row, fast) in enumerate(zip(dataset.labels.tolist(), feats, plain)))
+    def text() -> Iterator[str]:  # the header, then one string per row block
+        for block in _row_blocks(dataset.n):
+            with np.errstate(over="raise", invalid="raise"):
+                feats = model.penultimate_features(params, dataset.rows(block))
+            if block.start == 0:
+                yield "id,label," + ",".join(f"f{j}" for j in range(feats.shape[1])) + "\n"
+            # orjson's shortest round-trip text is repr's for 0 and 1e-4 <= |x| < 1e16; outside
+            # that it writes 1e-5 and 1e16 (repr: 1e-05, 1e+16), so a row holding such a value
+            # (or a NaN, which fails both tests) goes through repr
+            mag = np.abs(feats)
+            plain = ((mag == 0) | ((mag >= 1e-4) & (mag < 1e16))).all(axis=1).tolist()
+            yield "".join(f"{i},{label}," + (
+                orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode() if fast
+                else ",".join(map(repr, row.tolist()))) + "\n"
+                for i, label, row, fast in zip(range(block.start, block.stop),
+                                               dataset.labels[block].tolist(), feats, plain))
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(path, header, rows)
+    _atomic_write(path, "", text())
 
 
 def training_population(cfg: ExperimentConfig) -> int:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -142,11 +142,11 @@ def _check_features(params: ParamSet, features: np.ndarray) -> np.ndarray:
 
 
 def _forward_pass(params: ParamSet, features: np.ndarray,
-                  layers: range | None = None) -> list[np.ndarray]:
-    """Activations per layer boundary, of all layers or just ``layers``; entry 0 is the input."""
+                  stop: int | None = None) -> list[np.ndarray]:
+    """Activations per layer boundary, of all layers or the first ``stop``; entry 0 is the input."""
     acts = [features]
     last = len(params.weights) - 1
-    for i in range(last + 1) if layers is None else layers:
+    for i in range(last + 1)[:stop]:
         z = acts[-1] @ params.weights[i].T
         z += params.biases[i]  # in place: the same rounding as ``x @ w.T + b``, one array fewer
         acts.append(z if i == last else np.maximum(z, 0.0, out=z))
@@ -267,10 +267,7 @@ def predict(params: ParamSet, features: np.ndarray) -> np.ndarray:
     return np.argmax(forward(params, features), axis=1)
 
 
-def penultimate_features(params: ParamSet, features: Iterable[np.ndarray]) -> np.ndarray:
-    """Last hidden activations, or the logits when there is no hidden layer. ``features`` is a
-    matrix or its row blocks in order: the first layer runs per block, the rest on all rows."""
-    blocks = [features] if isinstance(features, np.ndarray) else features
-    x = np.concatenate([_forward_pass(params, _check_features(params, b), range(1))[-1]
-                        for b in blocks])
-    return _forward_pass(params, x, range(1, len(params.weights) - 1))[-1]
+def penultimate_features(params: ParamSet, features: np.ndarray) -> np.ndarray:
+    """Last hidden activations, or the logits when there is no hidden layer."""
+    stop = max(len(params.weights) - 1, 1)
+    return _forward_pass(params, _check_features(params, features), stop)[-1]

@@ -417,3 +417,30 @@ def test_seed_flag_rejects_a_negative_seed_naming_the_key(write_config, capsys):
     assert main(["train", "--config", str(path), "--seed", "-1"]) == 1
     payload = json.loads(capsys.readouterr().err)
     assert payload == {"error": "ConfigError", "message": "run.seed must be >= 0, got -1"}
+
+
+@pytest.mark.parametrize("key, value, extra", [
+    ("synthetic.mean_scale", "-1", {}),
+    ("synthetic.mean_scale", "inf", {}),
+    ("synthetic.mean_scale", "nan", {}),
+    ("synthetic.std", ",", {}),
+    ("synthetic.std", "1,2,3", {}),
+    ("synthetic.std", "-1", {}),
+    ("synthetic.std", "1,inf", {}),
+    ("synthetic.std", "nan", {}),
+    ("synthetic.per_class", "0", {}),
+    ("synthetic.per_class", "4,0", {}),
+    ("data.augment_sigma", "-0.5", {"data.augment": "gaussian_noise"}),
+    ("data.augment_sigma", "nan", {"data.augment": "gaussian_noise"}),
+    ("data.augment_prob", "nan", {"data.augment": "horizontal_flip"}),
+    ("train.weight_decay", "nan", {}),
+    ("train.weight_decay", "inf", {}),
+])
+def test_an_out_of_range_value_is_a_config_error_naming_its_key(write_config, capsys, key,
+                                                                value, extra):
+    path = write_config({**TOY_VALUES, **extra, key: value})
+    assert main(["train", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError" and key in payload["message"], payload

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from dropfresh.harness import (CompareRow, HarnessError, compare, evaluate,
                                metrics_lines, run_experiment,
                                run_experiment_with_params, save_params,
                                training_population, write_run_outputs)
-from dropfresh.model import ParamSet, init_params, penultimate_features
+from dropfresh.model import ParamSet, forward, init_params, penultimate_features
 from dropfresh.scheduler import planned_cost
 from helpers import bit_equal, example_ids, save_csv, subset
 
@@ -474,7 +475,51 @@ def test_evaluate_on_pixels_matches_float_data_bit_for_bit(monkeypatch):
 
 
 @pytest.mark.parametrize("hidden", [[], [32], [32, 16]])
-@pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 700])
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 512, 700, 1040])
+def test_evaluate_in_row_blocks_matches_the_whole_matrix(monkeypatch, n, hidden):
+    pixels, floats = pixel_and_float_sets(n)
+    params = init_params([784, *hidden, 10], seed=n)
+    whole = forward(params, floats.features)
+    expected = float(np.mean(harness.model.predict(params, floats.features) == floats.labels))
+    full = max(n // 256 - 1, 0)  # blocks of 256 rows before the last, which takes the rest
+    predict, blocks = harness.model.predict, []
+
+    def spy(params, features):  # the row blocks evaluate predicts from, in order
+        blocks.append(features)
+        return predict(params, features)
+
+    monkeypatch.setattr(harness.model, "predict", spy)
+    for ds in (pixels, floats):
+        blocks.clear()
+        assert evaluate(params, ds) == expected
+        assert [len(b) for b in blocks] == [256] * full + [n - 256 * full]
+        lo = 0
+        for block in blocks:
+            hi = lo + len(block)
+            assert bit_equal(block, floats.features[lo:hi])
+            assert forward(params, block).tobytes() == whole[lo:hi].tobytes()
+            lo = hi
+
+
+def test_evaluate_and_export_memory_is_set_by_the_row_block(tmp_path):
+    # 12,000 images: their float64 rows alone are 75 MB, one 511-row block's 3.2 MB
+    rng = np.random.default_rng(0)
+    ds = Dataset(rng.integers(0, 256, size=(12_000, 784), dtype=np.uint8),
+                 rng.integers(0, 10, size=12_000), 10, pixels=True)
+    params = init_params([784, 128, 10], seed=0)
+    for run in (lambda: evaluate(params, ds),
+                lambda: export_features(params, ds, tmp_path / "features.csv")):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6, peak
+
+
+@pytest.mark.parametrize("hidden", [[], [32], [32, 16]])
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 512, 700, 1040])
 def test_export_features_in_row_blocks_matches_the_whole_matrix_product(tmp_path, n, hidden):
     # OpenBLAS takes another kernel for 784 -> 32 and 784 -> 10 products of a few dozen rows
     # than for the whole matrix, so 16-row blocks would change the bits; 256-row ones do not
