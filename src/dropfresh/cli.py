@@ -11,7 +11,7 @@ from . import scheduler
 from .config import (ConfigError, apply_preset, build_experiment_config,
                      read_config_file, PRESET_NAMES)
 from .datasets import Dataset, DatasetError, load_csv, load_idx
-from .harness import (HarnessError, compare, export_features, load_dataset,
+from .harness import (HarnessError, _atomic_write, compare, export_features, load_dataset,
                       load_params, run_experiment_with_params, training_population,
                       write_run_outputs)
 
@@ -80,18 +80,17 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     paths = [p for p in args.configs.split(",") if p]
     cfgs = [build_experiment_config(read_config_file(p)) for p in paths]
-    if args.out is not None and not Path(args.out).absolute().parent.is_dir():
-        raise ConfigError(f"--out {args.out}: its directory does not exist")
+    out = None if args.out is None else Path(args.out)
+    if out is not None and (out.is_dir() or not out.absolute().parent.is_dir()):
+        raise ConfigError(f"--out {args.out}: is a directory, or its directory does not exist")
     rows = compare(cfgs)
     print("label,cost_ratio,final_accuracy,delta_accuracy")
     for row in rows:
         delta = "n/a" if row.delta_accuracy is None else f"{row.delta_accuracy:+.6f}"
         acc = "n/a" if row.final_accuracy is None else f"{row.final_accuracy:.6f}"
         print(f"{row.label},{row.cost_ratio!r},{acc},{delta}")
-    if args.out is not None:
-        with open(args.out, "w") as fh:
-            json.dump([asdict(r) for r in rows], fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    if out is not None:
+        _atomic_write(out, json.dumps([asdict(r) for r in rows], sort_keys=True, indent=2) + "\n")
     return 0
 
 

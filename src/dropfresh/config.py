@@ -22,27 +22,32 @@ _MEANS_STREAM = 5
 
 POLICIES = ("dar", "uniform", "reweight")
 
-# Each key's kind and default. "ints" and "floats" are comma-separated lists. An unset or
-# empty key takes its default, as does an "ints" value of "none" or with no entries.
-_KEYS: dict[str, tuple[str, Any]] = {
-    "data.source": ("text", None), "data.csv": ("text", None),
+REQUIRED = object()  # the default of a key that every config sets
+
+# Each key's kind and default, then what a set value may be: a number, or each entry of a
+# list, finite and in [low, high] (high defaults to inf), or a text key one of its names.
+# "ints" and "floats" are comma-separated lists. An unset or empty key takes its default,
+# as does an "ints" value of "none" or with no entries.
+_KEYS: dict[str, tuple] = {
+    "data.source": ("text", REQUIRED, ("csv", "idx", "synthetic")), "data.csv": ("text", None),
     "data.idx_images": ("text", None), "data.idx_labels": ("text", None),
-    "data.class_count": ("int", None), "data.val_fraction": ("float", 0.0),
+    "data.class_count": ("int", None), "data.val_fraction": ("float", 0.0, 0.0, 0.5),
     "data.val_csv": ("text", None), "data.val_idx_images": ("text", None),
-    "data.val_idx_labels": ("text", None), "data.augment": ("text", "none"),
-    "data.augment_sigma": ("float", 0.1), "data.augment_prob": ("float", 0.5),
-    "synthetic.classes": ("int", 2), "synthetic.dim": ("int", 2),
-    "synthetic.per_class": ("ints", (100,)), "synthetic.std": ("floats", (1.0,)),
-    "synthetic.mean_scale": ("float", 1.0), "synthetic.seed": ("int", 0),
-    "model.hidden": ("ints", ()), "policy": ("text", "uniform"),
-    "train.total_epochs": ("int", None), "train.base_lr": ("float", None),
-    "train.momentum": ("float", 0.0), "train.weight_decay": ("float", 0.0),
+    "data.val_idx_labels": ("text", None),
+    "data.augment": ("text", "none", ("none", "gaussian_noise", "horizontal_flip")),
+    "data.augment_sigma": ("float", 0.1, 0.0), "data.augment_prob": ("float", 0.5, 0.0, 1.0),
+    "synthetic.classes": ("int", 2, 2), "synthetic.dim": ("int", 2, 1),
+    "synthetic.per_class": ("ints", (100,), 1), "synthetic.std": ("floats", (1.0,), 0.0),
+    "synthetic.mean_scale": ("float", 1.0, 0.0), "synthetic.seed": ("int", 0, 0),
+    "model.hidden": ("ints", (), 1), "policy": ("text", "uniform", POLICIES),
+    "train.total_epochs": ("int", REQUIRED), "train.base_lr": ("float", REQUIRED),
+    "train.momentum": ("float", 0.0), "train.weight_decay": ("float", 0.0, 0.0),
     "train.lr_milestones": ("ints", ()), "train.lr_gamma": ("float", 0.1),
-    "train.batch_size": ("int", 32),
+    "train.batch_size": ("int", 32, 1),
     "dar.warmup_epochs": ("int", 0), "dar.interval_epochs": ("int", 1),
     "dar.keep_rate": ("float", 1.0), "dar.refresh_epochs": ("ints", ()),
     "dar.active_epochs": ("int", None),  # "unbounded" or "none" also give None
-    "run.seed": ("int", 0), "run.out_dir": ("text", None),
+    "run.seed": ("int", 0, 0), "run.out_dir": ("text", None),
 }
 
 _KINDS = {"int": (int, "an integer"), "float": (float, "a number"),
@@ -76,30 +81,36 @@ def read_config_file(path: Union[str, Path]) -> dict[str, str]:
 
 
 def _get(values: Mapping[str, str], key: str) -> Any:
-    """``key``'s value parsed as its ``_KEYS`` kind, or its default."""
-    kind, default = _KEYS[key]
+    """``key``'s value parsed as its ``_KEYS`` kind and checked against what it accepts."""
+    kind, default, *accepts = _KEYS[key]
     raw = values.get(key)
-    if not raw or kind == "text":
-        return raw or default
+    if not raw:
+        if default is REQUIRED:
+            raise ConfigError(f"{key} is required")
+        return default
+    if kind == "text":
+        if accepts and raw not in accepts[0]:
+            raise ConfigError(f"{key} must be one of {accepts[0]}, got {raw!r}")
+        return raw
     parse, expected = _KINDS[kind]
     try:
         if kind in ("int", "float"):
-            return parse(raw)
-        if kind == "ints" and raw.lower() == "none":
-            return default
-        parts = tuple(parse(part.strip()) for part in raw.split(",") if part.strip())
+            value = parse(raw)
+        else:
+            value = () if kind == "ints" and raw.lower() == "none" else tuple(
+                parse(part.strip()) for part in raw.split(",") if part.strip())
     except ValueError:
         raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
-    return default if kind == "ints" and not parts else parts
-
-
-def _get_in(values: Mapping[str, str], key: str, low: float, high: float = math.inf) -> Any:
-    """``_get``, then a ConfigError naming ``key`` unless the value, or each entry of a list,
-    is finite and in [low, high]; NaN never is."""
-    value = _get(values, key)
-    if not all(low <= v <= high and math.isfinite(v)
-               for v in (value if isinstance(value, tuple) else (value,))):
-        raise ConfigError(f"{key} must be finite and in [{low}, {high}], got {value}")
+    if kind == "ints" and not value:
+        return default
+    if accepts:
+        low, high = (*accepts, math.inf)[:2]
+        # NaN fails every comparison; inf passes low <= v <= high only when high is inf
+        if not all(low <= v <= high and v < math.inf
+                   for v in (value if isinstance(value, tuple) else (value,))):
+            bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+            finite = "finite and " if kind in ("float", "floats") else ""
+            raise ConfigError(f"{key} must be {finite}{bound}, got {value}")
     return value
 
 
@@ -138,42 +149,37 @@ class ExperimentConfig:
 def _synthetic_from(values: Mapping[str, str]) -> SyntheticSpec:
     classes = _get(values, "synthetic.classes")
     dim = _get(values, "synthetic.dim")
-    if classes < 2 or dim < 1:
-        raise ConfigError(f"synthetic.classes >= 2 and synthetic.dim >= 1 required, "
-                          f"got {classes}, {dim}")
-    per_class = _get_in(values, "synthetic.per_class", 1)
+    per_class = _get(values, "synthetic.per_class")
     counts = per_class * classes if len(per_class) == 1 else per_class
     if len(counts) != classes:
         raise ConfigError(f"synthetic.per_class: expected 1 or {classes} entries, "
                           f"got {len(per_class)}")
-    stds = _get_in(values, "synthetic.std", 0.0)
+    stds = _get(values, "synthetic.std")
     if len(stds) not in (1, classes):
         raise ConfigError(f"synthetic.std: expected 1 or {classes} entries, got {len(stds)}")
-    scale = _get_in(values, "synthetic.mean_scale", 0.0)
+    scale = _get(values, "synthetic.mean_scale")
     seed = _get(values, "synthetic.seed")
-    if seed < 0:
-        raise ConfigError(f"synthetic.seed must be >= 0, got {seed}")
     rng = np.random.default_rng([seed, _MEANS_STREAM])
     means_arr = rng.normal(0.0, scale, size=(classes, dim))
     means = tuple(tuple(float(x) for x in row) for row in means_arr)
     return SyntheticSpec(means=means, stds=stds, counts=tuple(counts), seed=seed)
 
 
-def _augment_from(values: Mapping[str, str]) -> AugmentPolicy:
+def _augment_from(values: Mapping[str, str], source: str) -> AugmentPolicy:
     name = _get(values, "data.augment")
-    if name == "none":
-        return NoAugment()
     if name == "gaussian_noise":
-        return GaussianNoise(sigma=_get_in(values, "data.augment_sigma", 0.0))
+        return GaussianNoise(sigma=_get(values, "data.augment_sigma"))
     if name == "horizontal_flip":
-        return HorizontalFlip(prob=_get_in(values, "data.augment_prob", 0.0, 1.0))
-    raise ConfigError(f"data.augment: unknown policy {name!r}")
+        prob = _get(values, "data.augment_prob")
+        if source != "idx":  # only IDX data has an image shape to flip
+            raise ConfigError(f"data.augment = horizontal_flip needs image data "
+                              f"(data.source = idx), got data.source = {source}")
+        return HorizontalFlip(prob=prob)
+    return NoAugment()
 
 
 def _data_from(values: Mapping[str, str]) -> DataConfig:
     source = _get(values, "data.source")
-    if source not in _SOURCE_KEYS:
-        raise ConfigError(f"data.source must be one of {sorted(_SOURCE_KEYS)}, got {source!r}")
     # whether a key is set is read from its raw value, never its default
     stray = sorted(key for other, keys in _SOURCE_KEYS.items() if other != source
                    for key in keys if values.get(key))
@@ -181,8 +187,6 @@ def _data_from(values: Mapping[str, str]) -> DataConfig:
         raise ConfigError(f"data.source={source} but {stray[0]} is set; configs use exactly "
                           f"one dataset source")
     val_fraction = _get(values, "data.val_fraction")
-    if not 0.0 <= val_fraction <= 0.5:
-        raise ConfigError(f"data.val_fraction must be in [0, 0.5], got {val_fraction}")
     explicit_val = ("data.val_csv", "data.val_idx_images", "data.val_idx_labels")
     if val_fraction > 0.0 and any(values.get(k) for k in explicit_val):
         raise ConfigError("set data.val_fraction or an explicit validation file, not both")
@@ -197,7 +201,7 @@ def _data_from(values: Mapping[str, str]) -> DataConfig:
         val_csv_path=_get(values, "data.val_csv"),
         val_idx_images=_get(values, "data.val_idx_images"),
         val_idx_labels=_get(values, "data.val_idx_labels"),
-        augment=_augment_from(values),
+        augment=_augment_from(values, source),
     )
     if source != "synthetic" and not all(values.get(k) for k in _SOURCE_KEYS[source]):
         raise ConfigError(f"data.source={source} requires {' and '.join(_SOURCE_KEYS[source])}")
@@ -212,22 +216,15 @@ def build_experiment_config(values: Mapping[str, str]) -> ExperimentConfig:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
 
     epochs = _get(values, "train.total_epochs")
-    if epochs is None:
-        raise ConfigError("train.total_epochs is required")
     base_lr = _get(values, "train.base_lr")
-    if base_lr is None:
-        raise ConfigError("train.base_lr is required")
-
     milestones = _get(values, "train.lr_milestones")
     if any(not 0 < m <= epochs for m in milestones):
         raise ConfigError(f"train.lr_milestones must lie in (0, {epochs}], got {milestones}")
     try:  # the dataclasses' own ValueErrors are reported as ConfigErrors
         train = TrainHyper(base_lr=base_lr, momentum=_get(values, "train.momentum"),
-                           weight_decay=_get_in(values, "train.weight_decay", 0.0),
+                           weight_decay=_get(values, "train.weight_decay"),
                            lr_milestones=milestones, lr_gamma=_get(values, "train.lr_gamma"))
         policy = _get(values, "policy")
-        if policy not in POLICIES:
-            raise ConfigError(f"policy must be one of {POLICIES}, got {policy!r}")
         unbounded = values.get("dar.active_epochs", "").lower() in ("unbounded", "none")
         active = None if unbounded else _get(values, "dar.active_epochs")
         dar = DarConfig(
@@ -241,26 +238,14 @@ def build_experiment_config(values: Mapping[str, str]) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    batch_size = _get(values, "train.batch_size")
-    if batch_size < 1:
-        raise ConfigError(f"train.batch_size must be >= 1, got {batch_size}")
-
-    hidden = _get(values, "model.hidden")
-    if any(h < 1 for h in hidden):
-        raise ConfigError(f"model.hidden sizes must be >= 1, got {hidden}")
-
-    data = _data_from(values)
-    run_seed = _get(values, "run.seed")
-    if run_seed < 0:
-        raise ConfigError(f"run.seed must be >= 0, got {run_seed}")
-    return ExperimentConfig(
-        data=data,
-        hidden_layers=hidden,
+    return ExperimentConfig(  # the arguments run in order: sizes are checked before any data
+        batch_size=_get(values, "train.batch_size"),
+        hidden_layers=_get(values, "model.hidden"),
+        data=_data_from(values),
         train=train,
         dar=dar,
         policy=policy,
-        batch_size=batch_size,
-        run_seed=run_seed,
+        run_seed=_get(values, "run.seed"),
         out_dir=_get(values, "run.out_dir"),
         echo=dict(sorted(values.items())),
     )
@@ -278,8 +263,6 @@ def apply_preset(values: Mapping[str, str], name: str) -> dict[str, str]:
     if name not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     epochs = _get(values, "train.total_epochs")
-    if epochs is None:
-        raise ConfigError("presets need train.total_epochs in the config")
     if epochs < 4:
         raise ConfigError(f"presets need train.total_epochs >= 4, got {epochs}")
     if name == "imagenet-default":

@@ -200,7 +200,7 @@ class SyntheticSpec:
         if len(self.stds) not in (1, len(self.counts)):
             raise DatasetError(
                 f"stds must have 1 or {len(self.counts)} entries, got {len(self.stds)}")
-        if any(s < 0 for s in self.stds):
+        if not all(s >= 0 for s in self.stds):
             raise DatasetError(f"stds must be >= 0, got {self.stds}")
         dims = {len(m) for m in self.means}
         if len(dims) != 1 or dims == {0}:
@@ -233,7 +233,7 @@ class GaussianNoise:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise DatasetError(f"sigma must be >= 0, got {self.sigma}")
 
 

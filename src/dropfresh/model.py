@@ -102,7 +102,7 @@ class TrainHyper:
             raise ValueError(f"base_lr must be > 0, got {self.base_lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0.0:
+        if not self.weight_decay >= 0.0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.lr_gamma <= 0.0:
             raise ValueError(f"lr_gamma must be > 0, got {self.lr_gamma}")
@@ -237,7 +237,7 @@ def backward(params: ParamSet, features: np.ndarray, labels: np.ndarray,
     """
     features = _check_features(params, features)
     labels = _check_labels(labels, features.shape[0], params.weights[-1].shape[0])
-    if weight_decay < 0.0:
+    if not weight_decay >= 0.0:
         raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
     if sample_weights is not None:
         sample_weights = np.asarray(sample_weights, dtype=np.float64)

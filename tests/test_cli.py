@@ -362,6 +362,22 @@ def test_compare_checks_its_out_directory_before_any_run(write_config, tmp_path,
     assert str(out) in payload["message"] and "missing.csv" not in payload["message"]
 
 
+def test_compare_rejects_an_out_directory_before_any_run(write_config, tmp_path, capsys,
+                                                         monkeypatch):
+    runs = []
+    monkeypatch.setattr("dropfresh.cli.compare", lambda cfgs: runs.append(cfgs) or [])
+    a = write_config(TOY_VALUES, name="a.txt")
+    b = write_config({**TOY_VALUES, "policy": "dar"}, name="b.txt")
+    assert main(["compare", "--configs", f"{a},{b}", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and runs == []
+    err = captured.err.splitlines()
+    assert len(err) == 1, captured.err
+    payload = json.loads(err[0])
+    assert payload["error"] == "ConfigError" and str(tmp_path) in payload["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+
+
 @pytest.mark.parametrize("argv", [[], ["train"], ["cost", "--config"],
                                   ["train", "--config", "c.txt", "--seed", "abc"],
                                   ["train", "--config", "c.txt", "--epochs", "3"]])
@@ -444,3 +460,30 @@ def test_an_out_of_range_value_is_a_config_error_naming_its_key(write_config, ca
     assert out == "" and len(err.splitlines()) == 1, err
     payload = json.loads(err)
     assert payload["error"] == "ConfigError" and key in payload["message"], payload
+
+
+@pytest.mark.parametrize("command", ["cost", "train"])
+@pytest.mark.parametrize("source", ["synthetic", "csv", "idx"])
+def test_flips_need_idx_data(write_config, tmp_path, capsys, command, source):
+    if source == "synthetic":
+        values = dict(TOY_VALUES)
+    elif source == "csv":
+        data = tmp_path / "data.csv"
+        data.write_text("".join(f"{i % 2},{i}.0,{-i}.0\n" for i in range(8)))
+        values = {"data.source": "csv", "data.csv": str(data),
+                  "train.total_epochs": "2", "train.base_lr": "0.1"}
+    else:
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        images.write_bytes(idx_bytes(0x803, (10, 3, 4), np.arange(120) % 256))
+        labels.write_bytes(idx_bytes(0x801, (10,), np.arange(10) % 3))
+        values = {"data.source": "idx", "data.idx_images": images, "data.idx_labels": labels,
+                  "data.class_count": "3", "train.total_epochs": "2", "train.base_lr": "0.1"}
+    path = write_config({**values, "data.augment": "horizontal_flip"})
+    code = main([command, "--config", str(path)])
+    out, err = capsys.readouterr()
+    if source == "idx":  # the one source with an image shape to flip
+        assert code == 0 and err == "", err
+        return
+    assert code == 1 and out == "" and len(err.splitlines()) == 1, err
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError" and "data.augment" in payload["message"], payload

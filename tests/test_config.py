@@ -1,3 +1,4 @@
+import math
 import operator
 import re
 from pathlib import Path
@@ -232,6 +233,50 @@ def test_parsing_quirks(overrides, field, expected):
 def test_negative_seeds_are_rejected_naming_the_key(key):
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be >= 0, got -1$"):
         build_experiment_config(minimal_values(**{key: "-1"}))
+
+
+def rejected_values():
+    """For each ``_KEYS`` entry, values it rejects: below low, above a finite high and NaN or
+    inf for a number; an unknown name for a text key with names; unset (None) if required."""
+    for key, (kind, default, *accepts) in config._KEYS.items():
+        if default is config.REQUIRED:
+            yield key, None
+        if kind == "text" and accepts:
+            yield key, "no-such-name"
+        elif accepts:
+            low, high = (*accepts, math.inf)[:2]
+            step = 0.5 if kind in ("float", "floats") else 1
+            yield key, str(low - step)
+            if high < math.inf:
+                yield key, str(high + step)
+            if kind in ("float", "floats"):
+                yield from ((key, bad) for bad in ("nan", "inf"))
+
+
+# data.augment_sigma and data.augment_prob are read only when their policy is chosen
+POLICY_FOR = {"data.augment_sigma": "gaussian_noise", "data.augment_prob": "horizontal_flip"}
+
+
+@pytest.mark.parametrize("key, value", list(rejected_values()),
+                         ids=[f"{k}={v}" for k, v in rejected_values()])
+def test_every_key_rejects_what_its_table_entry_does_not_accept(key, value):
+    values = minimal_values(**{"data.augment": POLICY_FOR.get(key, "none")})
+    if value is None:
+        del values[key]
+    else:
+        values[key] = value
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} "):
+        build_experiment_config(values)
+
+
+def test_key_table_defaults_and_names():
+    assert config._KEYS["data.source"][2] == tuple(config._SOURCE_KEYS)
+    assert config._KEYS["policy"][2] == config.POLICIES
+    for key, (kind, default, *accepts) in config._KEYS.items():
+        if kind != "text" and accepts and default is not None:  # a default is in range
+            low, high = (*accepts, math.inf)[:2]
+            assert all(low <= v <= high for v in (default if kind in ("ints", "floats")
+                                                  else (default,))), key
 
 
 def test_readme_config_table_lists_exactly_the_config_keys():

@@ -10,6 +10,7 @@ from dropfresh.model import (BatchOutput, ParamSet, TrainHyper, backward, forwar
                              init_params, lr_at, penultimate_features, predict,
                              sgd_step, softmax_xent)
 from dropfresh.model import loss_and_gradients
+from dropfresh.datasets import GaussianNoise, SyntheticSpec
 
 import oracles
 
@@ -276,6 +277,20 @@ def test_train_hyper_validation():
         TrainHyper(base_lr=0.1, lr_milestones=(5, 5))
     with pytest.raises(ValueError, match="lr_gamma"):
         TrainHyper(base_lr=0.1, lr_gamma=0.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GaussianNoise(math.nan), "sigma must be >= 0, got nan"),
+    (lambda: SyntheticSpec(means=((0.0,), (1.0,)), stds=(1.0, math.nan), counts=(2, 2),
+                           seed=0), r"stds must be >= 0, got \(1.0, nan\)"),
+    (lambda: TrainHyper(base_lr=0.1, weight_decay=math.nan), "weight_decay must be >= 0, got nan"),
+    (lambda: backward(init_params([2, 3, 2], seed=0), np.ones((2, 2)), np.array([0, 1]),
+                      weight_decay=math.nan), "weight_decay must be >= 0, got nan"),
+], ids=["GaussianNoise", "SyntheticSpec", "TrainHyper", "backward"])
+def test_api_range_checks_reject_nan(build, message):
+    # NaN fails every comparison, so a `< 0` check would let it through
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 @pytest.mark.parametrize("base_lr, gamma, milestones", [
