@@ -23,7 +23,6 @@ from .baselines import reweight, uniform_policy
 from .config import DataConfig, ExperimentConfig
 from .datasets import Dataset, IdxPair, gen_gaussian, load_csv
 from .model import ParamSet, init_params, lr_at
-from .scheduler import LossLedger
 
 _SPLIT_STREAM = 1
 # Evaluation and the export run on blocks of this many rows, the last up to twice as many: on
@@ -124,45 +123,40 @@ def run_experiment_with_params(cfg: ExperimentConfig) -> tuple[RunReport, ParamS
     weights = None  # reweight policy only
     records: list[EpochRecord] = []
     cumulative = 0
+    loss_by_id = np.empty(train_set.n)  # each epoch writes every active id's loss
 
     for _ in range(cfg.total_epochs):
         state = state.next_epoch()
         epoch = state.epoch
         epoch_key = datasets.epoch_seed(cfg.run_seed, epoch)
         plan = datasets.epoch_batches(state.active_ids, cfg.batch_size, cfg.run_seed, epoch)
-        losses, done = np.empty(state.active_ids.size), 0  # losses in plan order
         # an overflow anywhere in a batch, its loss, gradients or update raises here
         with np.errstate(over="raise", invalid="raise"):
             for batch_ids in plan:
                 try:
                     batch = datasets.make_batch(train_set, batch_ids, cfg.data.augment, epoch_key)
                     sample_weights = weights.values[batch.ids] if weights is not None else None
-                    losses[done:done + batch_ids.size] = model.loss_and_gradients(
+                    loss_by_id[batch_ids] = model.loss_and_gradients(
                         params, batch.features, batch.labels, cfg.train.weight_decay,
                         sample_weights, out=grads)[0]
                     model.sgd_step(params, grads, cfg.train, epoch, velocity)
                 except (ValueError, FloatingPointError) as exc:
                     raise HarnessError(
                         f"epoch {epoch}, examples {batch_ids[:3].tolist()}...: {exc}") from exc
-                done += batch_ids.size
-        ledger = LossLedger()
-        try:
-            ledger.record(np.concatenate(plan), losses)
-        except ValueError as exc:
-            raise HarnessError(f"epoch {epoch}: {exc}") from exc
+        losses = loss_by_id[state.active_ids]  # the plan is a permutation of the pool
 
         active_count = len(state.active_ids)
         cumulative += active_count
-        mean_loss = ledger.mean()
+        mean_loss = math.fsum(losses.tolist()) / losses.size  # exactly rounded, in any order
         try:
             val_acc = evaluate(params, val_set) if val_set is not None else None
         except FloatingPointError as exc:
             raise HarnessError(f"epoch {epoch}, validation: {exc}") from exc
 
         if cfg.policy == "reweight":
-            weights = reweight(ledger.losses)
+            weights = reweight(losses)  # the pool is the whole population: id order
         if cfg.policy == "dar":
-            state, action = scheduler.end_of_epoch(state, cfg.dar, ledger)
+            state, action = scheduler.end_of_epoch(state, cfg.dar, losses)
         else:
             state, action = uniform_policy(state)
 

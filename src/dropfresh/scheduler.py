@@ -8,9 +8,9 @@ dataset and a new cycle begins.
 
 The rules are one pure function of the schedule's counters, :func:`_decide`;
 losses only choose *which* examples survive a drop. The training loop owns a
-:class:`SchedulerState`, fills a :class:`LossLedger` while it trains, and
-applies what :func:`end_of_epoch` returns. :func:`trace` and
-:func:`planned_cost` run the rules on the counters alone, with no ledger.
+:class:`SchedulerState`, hands :func:`end_of_epoch` the epoch's losses in pool
+order, and applies what it returns. :func:`trace` and :func:`planned_cost` run
+the rules on the counters alone, with no losses.
 """
 from __future__ import annotations
 
@@ -114,12 +114,11 @@ class SchedulerState:
 
 
 class LossLedger:
-    """Most recent per-example training loss recorded during one epoch.
+    """Per-example losses by id: the table :func:`select_hardest` reads.
 
     ``losses`` is a float64 array indexed by example id, NaN where nothing
     was recorded; it grows to the largest id recorded. Re-recording an id
-    overwrites its entry, so with shuffling plus a shrinking pool the ledger
-    always reflects the latest observation.
+    overwrites its entry.
     """
 
     def __init__(self, entries: Mapping[int, float] | None = None) -> None:
@@ -149,13 +148,6 @@ class LossLedger:
             grown[:self.losses.size] = self.losses
             self.losses = grown
         self.losses[ids] = values
-
-    def mean(self) -> float:
-        """Exactly rounded mean, independent of recording order."""
-        recorded = self.losses[~np.isnan(self.losses)]
-        if recorded.size == 0:
-            raise ValueError("cannot take the mean of an empty ledger")
-        return math.fsum(recorded.tolist()) / recorded.size
 
 
 def init(config: DarConfig, population: int) -> SchedulerState:
@@ -195,16 +187,6 @@ def _hardest(ids: np.ndarray, losses: np.ndarray, count: int) -> np.ndarray:
     return np.sort(ids[np.lexsort((ids, -losses))[:count]])
 
 
-def _check_ledger_covers(ledger: LossLedger, active: np.ndarray) -> None:
-    recorded = np.flatnonzero(~np.isnan(ledger.losses))
-    if not np.array_equal(recorded, active):
-        missing = np.setdiff1d(active, recorded)[:5].tolist()
-        extra = np.setdiff1d(recorded, active)[:5].tolist()
-        raise ValueError(
-            f"ledger/active mismatch: missing={missing} extra={extra} "
-            f"(|ledger|={recorded.size}, |active|={active.size})")
-
-
 def _decide(config: DarConfig, epoch: int, cycle_start: int, last_drop: int,
             pool_size: int, population: int) -> tuple[ActionKind, int, int, int]:
     """The end-of-epoch rules: ``(action, new_size, cycle_start, last_drop)``.
@@ -229,12 +211,12 @@ def _decide(config: DarConfig, epoch: int, cycle_start: int, last_drop: int,
 
 
 def end_of_epoch(state: SchedulerState, config: DarConfig,
-                 ledger: LossLedger) -> tuple[SchedulerState, ActionKind]:
+                 losses: np.ndarray) -> tuple[SchedulerState, ActionKind]:
     """Apply the end-of-epoch transition for ``state.epoch``.
 
     :func:`_decide` sets the action and the counters; a drop then keeps the
-    examples with the largest losses in ``ledger``, which must hold exactly
-    the active ids.
+    examples with the largest ``losses``, one finite loss >= 0 per active id,
+    in ``state.active_ids`` order.
     """
     epoch = state.epoch
     if epoch < 1:
@@ -242,13 +224,17 @@ def end_of_epoch(state: SchedulerState, config: DarConfig,
     if epoch > config.total_epochs:
         raise ValueError(f"epoch {epoch} exceeds total_epochs {config.total_epochs}")
     active = state.active_ids
-    _check_ledger_covers(ledger, active)
+    losses = np.asarray(losses, dtype=np.float64)
+    if losses.shape != active.shape:
+        raise ValueError(f"{losses.size} losses for {active.size} active examples")
+    if not ((losses >= 0.0) & (losses < math.inf)).all():  # NaN fails both
+        raise ValueError("losses must be finite and >= 0")
     kind, size, cycle_start, last_drop = _decide(
         config, epoch, state.cycle_start, state.last_drop, active.size, state.population)
     if kind is ActionKind.KEEP:  # the pool is unchanged, so it is neither copied nor re-checked
         new_state = copy.copy(state)
     else:
-        new_state = replace(state, active_ids=_hardest(active, ledger.losses[active], size)
+        new_state = replace(state, active_ids=_hardest(active, losses, size)
                             if kind is ActionKind.DROP else np.arange(state.population))
     object.__setattr__(new_state, "cycle_start", cycle_start)
     object.__setattr__(new_state, "last_drop", last_drop)

@@ -415,6 +415,20 @@ def test_an_unallocatable_size_is_one_json_line(write_config, capsys, command, k
     assert payload["error"] == "MemoryError" and "Unable to allocate" in payload["message"]
 
 
+@pytest.mark.parametrize("command", ["cost", "train"])
+@pytest.mark.parametrize("key", ["model.hidden", "synthetic.classes"])
+def test_a_401_digit_size_is_one_json_line(write_config, capsys, command, key):
+    # too large for a float (math.sqrt in init_params) or an index (per_class * classes)
+    path = write_config({**TOY_VALUES, key: "9" * 401})
+    code = main([command, "--config", str(path)])
+    out, err = capsys.readouterr()
+    if (command, key) == ("cost", "model.hidden"):  # cost builds no model
+        assert code == 0 and err == "", err
+        return
+    assert code == 1 and out == "" and len(err.splitlines()) == 1, err
+    assert json.loads(err)["error"] == "OverflowError"
+
+
 def test_synthetic_overflow_is_one_json_line_without_a_warning(write_config):
     path = write_config({**TOY_VALUES, "synthetic.per_class": "400", "synthetic.std": "1e308"})
     src = str(Path(dropfresh.__file__).resolve().parents[1])

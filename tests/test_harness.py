@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -17,7 +18,7 @@ from dropfresh.harness import (CompareRow, HarnessError, compare, evaluate,
                                run_experiment_with_params, save_params,
                                training_population, write_run_outputs)
 from dropfresh.model import ParamSet, forward, init_params, penultimate_features
-from dropfresh.scheduler import planned_cost
+from dropfresh.scheduler import ActionKind, LossLedger, planned_cost, select_hardest
 from helpers import bit_equal, example_ids, save_csv, subset
 
 
@@ -185,28 +186,42 @@ def test_evaluate_accuracy():
     assert evaluate(params, ds) == 0.75
 
 
-def test_one_ledger_record_per_epoch(monkeypatch):
-    calls = []
-    record = harness.LossLedger.record
+def test_the_drop_gets_the_epochs_losses_in_pool_order(monkeypatch):
+    batches, trained = [], {}  # the latest loss each id's batch returned
+    calls = []  # (state, losses, the latest losses of its ids, new state, action)
+    make_batch = harness.datasets.make_batch
+    loss_and_gradients = harness.model.loss_and_gradients
+    end_of_epoch = harness.scheduler.end_of_epoch
 
-    def counting(self, ids, losses):
-        calls.append(np.sort(ids).tolist())
-        record(self, ids, losses)
+    def batch_spy(*args):
+        batches.append(make_batch(*args))
+        return batches[-1]
 
-    monkeypatch.setattr(harness.LossLedger, "record", counting)
+    def loss_spy(*args, **kwargs):
+        out = loss_and_gradients(*args, **kwargs)
+        trained.update(zip(batches[-1].ids.tolist(), out[0].tolist()))
+        return out
+
+    def spy(state, config, losses):
+        latest = [trained[i] for i in state.active_ids.tolist()]
+        calls.append((state, losses, latest, *end_of_epoch(state, config, losses)))
+        return calls[-1][3:]
+
+    monkeypatch.setattr(harness.datasets, "make_batch", batch_spy)
+    monkeypatch.setattr(harness.model, "loss_and_gradients", loss_spy)
+    monkeypatch.setattr(harness.scheduler, "end_of_epoch", spy)
     cfg = build_experiment_config(small_dar_values())
     report = run_experiment(cfg)
-    assert [len(ids) for ids in calls] == [r.active_count for r in report.records]
-    assert calls[0] == list(range(report.records[0].active_count))
-
-
-def test_ledger_failure_names_the_epoch(monkeypatch):
-    def failing(self, ids, losses):
-        raise ValueError("negative loss -1.0 for example 7")
-
-    monkeypatch.setattr(harness.LossLedger, "record", failing)
-    with pytest.raises(HarnessError, match="^epoch 1: negative loss"):
-        run_experiment(build_experiment_config(small_values()))
+    assert len(calls) == len(report.records)
+    for (state, losses, latest, new_state, action), record in zip(calls, report.records):
+        active = state.active_ids
+        assert losses.shape == active.shape and losses.tolist() == latest
+        assert math.fsum(losses.tolist()) / losses.size == record.mean_train_loss
+        if action is ActionKind.DROP:  # criterion 2's judged selection picks the same pool
+            ledger = LossLedger(dict(zip(active.tolist(), losses.tolist())))
+            assert tuple(new_state.active_ids.tolist()) == select_hardest(
+                ledger, active, cfg.dar.keep_rate)
+    assert any(action is ActionKind.DROP for *_, action in calls)
 
 
 def test_save_params_writes_the_flat_vector(tmp_path):

@@ -23,8 +23,8 @@ def drive(config, population, losses_for):
     for _ in range(config.total_epochs):
         state = state.next_epoch()
         size = len(state.active_ids)
-        ledger = LossLedger({i: losses_for(state.epoch, i) for i in state.active_ids.tolist()})
-        state, action = end_of_epoch(state, config, ledger)
+        losses = np.array([losses_for(state.epoch, i) for i in state.active_ids.tolist()])
+        state, action = end_of_epoch(state, config, losses)
         rows.append((size, action))
     return rows
 
@@ -134,21 +134,9 @@ def test_ledger_batch_record_names_the_bad_example(bad, fragment):
     assert ledger.losses.size == 0
 
 
-def test_ledger_mean_is_order_independent():
-    entries = {i: 0.1 * (i + 1) for i in range(10)}
-    forward_order = LossLedger(entries)
-    backward_order = LossLedger()
-    for i in reversed(range(10)):
-        backward_order.record(i, entries[i])
-    assert forward_order.mean() == backward_order.mean()
-    with pytest.raises(ValueError, match="empty"):
-        LossLedger().mean()
-
-
 def test_end_of_epoch_keep_during_warmup():
     state = init(TOY, 8).next_epoch()
-    ledger = LossLedger({i: float(i) for i in range(8)})
-    new_state, action = end_of_epoch(state, TOY, ledger)
+    new_state, action = end_of_epoch(state, TOY, np.arange(8.0))
     assert action is ActionKind.KEEP
     assert new_state.active_ids.tolist() == state.active_ids.tolist()
     assert new_state.cycle_start == 2 and new_state.last_drop == 2
@@ -157,8 +145,7 @@ def test_end_of_epoch_keep_during_warmup():
 def test_end_of_epoch_drop_keeps_hardest():
     state = SchedulerState(epoch=3, cycle_start=2, last_drop=2,
                            active_ids=tuple(range(8)), population=8)
-    ledger = LossLedger({i: float(i) for i in range(8)})
-    new_state, action = end_of_epoch(state, TOY, ledger)
+    new_state, action = end_of_epoch(state, TOY, np.arange(8.0))
     assert action is ActionKind.DROP
     assert new_state.active_ids.tolist() == [4, 5, 6, 7]
     assert new_state.last_drop == 3
@@ -170,8 +157,7 @@ def test_end_of_epoch_refresh_supersedes_drop():
                     keep_rate=0.5, refresh_epochs=(4,))
     state = SchedulerState(epoch=4, cycle_start=2, last_drop=3,
                            active_ids=(4, 5, 6, 7), population=8)
-    ledger = LossLedger({i: 1.0 for i in (4, 5, 6, 7)})
-    new_state, action = end_of_epoch(state, cfg, ledger)
+    new_state, action = end_of_epoch(state, cfg, np.ones(4))
     assert action is ActionKind.REFRESH
     assert new_state.active_ids.tolist() == list(range(8))
     assert new_state.cycle_start == 4
@@ -182,8 +168,7 @@ def test_end_of_epoch_closed_window_blocks_drop():
     # cycle started at 2 with a 4-epoch window, so epoch 6 may not drop
     state = SchedulerState(epoch=6, cycle_start=2, last_drop=5,
                            active_ids=(0, 1), population=8)
-    ledger = LossLedger({0: 1.0, 1: 2.0})
-    new_state, action = end_of_epoch(state, TOY, ledger)
+    new_state, action = end_of_epoch(state, TOY, np.array([1.0, 2.0]))
     assert action is ActionKind.KEEP
     assert new_state.active_ids.tolist() == [0, 1]
     assert new_state.last_drop == 5
@@ -193,30 +178,32 @@ def test_noop_drop_reports_keep_but_advances_interval():
     cfg = DarConfig(total_epochs=6, warmup_epochs=1, interval_epochs=2, keep_rate=1.0)
     state = SchedulerState(epoch=3, cycle_start=1, last_drop=1,
                            active_ids=(0, 1, 2), population=3)
-    ledger = LossLedger({0: 0.1, 1: 0.2, 2: 0.3})
-    new_state, action = end_of_epoch(state, cfg, ledger)
+    new_state, action = end_of_epoch(state, cfg, np.array([0.1, 0.2, 0.3]))
     assert action is ActionKind.KEEP
     assert new_state.active_ids.tolist() == [0, 1, 2]
     assert new_state.last_drop == 3
 
 
-def test_end_of_epoch_ledger_mismatch():
+def test_end_of_epoch_rejects_anything_but_one_good_loss_per_active_id():
     state = SchedulerState(epoch=3, cycle_start=2, last_drop=2,
                            active_ids=(0, 1, 2), population=4)
-    with pytest.raises(ValueError, match=r"missing=\[2\]"):
-        end_of_epoch(state, TOY, LossLedger({0: 1.0, 1: 1.0}))
-    with pytest.raises(ValueError, match=r"extra=\[3\]"):
-        end_of_epoch(state, TOY, LossLedger({0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}))
+    for losses, fragment in (([1.0, 1.0], "2 losses for 3 active examples"),
+                             ([1.0, 1.0, 1.0, 1.0], "4 losses for 3 active examples"),
+                             ([1.0, float("nan"), 1.0], "finite and >= 0"),
+                             ([1.0, -0.5, 1.0], "finite and >= 0"),
+                             ([1.0, 1.0, float("inf")], "finite and >= 0")):
+        with pytest.raises(ValueError, match=fragment):
+            end_of_epoch(state, TOY, np.array(losses))
 
 
 def test_end_of_epoch_epoch_bounds():
-    ledger = LossLedger({i: 0.0 for i in range(8)})
+    losses = np.zeros(8)
     with pytest.raises(ValueError, match="next_epoch"):
-        end_of_epoch(init(TOY, 8), TOY, ledger)
+        end_of_epoch(init(TOY, 8), TOY, losses)
     late = SchedulerState(epoch=9, cycle_start=5, last_drop=5,
                           active_ids=tuple(range(8)), population=8)
     with pytest.raises(ValueError, match="total_epochs"):
-        end_of_epoch(late, TOY, ledger)
+        end_of_epoch(late, TOY, losses)
 
 
 def test_next_epoch_advances_only_the_epoch():
@@ -242,7 +229,7 @@ def test_full_pools_are_int64_aranges():
     cfg = DarConfig(total_epochs=4, warmup_epochs=1, keep_rate=0.5, refresh_epochs=(3,))
     partial = SchedulerState(epoch=3, cycle_start=1, last_drop=2,
                              active_ids=(2, 5), population=8)
-    refreshed, action = end_of_epoch(partial, cfg, LossLedger({2: 1.0, 5: 0.5}))
+    refreshed, action = end_of_epoch(partial, cfg, np.array([1.0, 0.5]))
     assert action is ActionKind.REFRESH
     for state in (init(cfg, 8), refreshed, uniform_policy(partial)[0]):
         assert state.active_ids.dtype == np.int64
@@ -323,7 +310,7 @@ def test_trace_csv_lines():
 
 
 def test_trace_sizes_ignore_loss_values():
-    # sizes and actions are a function of the config alone, not the ledger
+    # sizes and actions are a function of the config alone, not the losses
     dummy = trace(TOY, 8)
     driven = drive(TOY, 8, lambda epoch, i: float((i * 7 + epoch * 3) % 5))
     assert [(r.size, r.action.value) for r in dummy] == \
@@ -391,7 +378,7 @@ def test_driven_run_preserves_membership_invariants(case, loss_seed):
         ledger = LossLedger({
             i: float((i * 2654435761 + old.epoch * loss_seed) % 97) / 7.0
             for i in old.active_ids.tolist()})
-        state, action = end_of_epoch(old, cfg, ledger)
+        state, action = end_of_epoch(old, cfg, ledger.losses[old.active_ids])
         ids = state.active_ids.tolist()
         if action is ActionKind.REFRESH:
             assert ids == full
@@ -410,8 +397,7 @@ def test_keep_shares_the_pool_and_sets_the_counters():
     kinds = []
     for _ in range(TOY.total_epochs):
         old = state.next_epoch()
-        ledger = LossLedger({i: float(i % 3) for i in old.active_ids.tolist()})
-        state, kind = end_of_epoch(old, TOY, ledger)
+        state, kind = end_of_epoch(old, TOY, old.active_ids % 3.0)
         expected = _decide(TOY, old.epoch, old.cycle_start, old.last_drop,
                            old.active_ids.size, old.population)
         assert (kind, state.active_ids.size, state.cycle_start, state.last_drop) == expected
