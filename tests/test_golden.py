@@ -22,20 +22,10 @@ import numpy as np
 import pytest
 
 from dropfresh.cli import main
+from test_acceptance import desk_dar_values, desk_values  # criterion 6's desk runs
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
-DESK = {  # criterion 6's desk run; dar takes the desk-default preset on top
-    "data.source": "synthetic",
-    "synthetic.classes": "10", "synthetic.dim": "16",
-    "synthetic.per_class": "520", "synthetic.std": "1.0",
-    "synthetic.mean_scale": "1.1", "synthetic.seed": "7",
-    "data.val_fraction": "0.2",
-    "model.hidden": "32",
-    "train.total_epochs": "20", "train.base_lr": "0.1",
-    "train.momentum": "0.9", "train.weight_decay": "0.0001",
-    "train.lr_milestones": "5,10,15", "train.batch_size": "64",
-}
 LONG = {  # criterion 3's long run, planned under the imagenet-default preset
     "data.source": "synthetic",
     "synthetic.classes": "10", "synthetic.dim": "4", "synthetic.per_class": "600",
@@ -94,11 +84,11 @@ def outputs(work: Path) -> dict[str, bytes]:
     """Every pinned output, by name."""
     made = {}
     for seed in (1, 2):
-        for policy in ("uniform", "dar", "reweight"):
-            config = _config(work / f"{policy}-{seed}.txt", {**DESK, "policy": policy})
+        for policy, values in (("uniform", desk_values(seed)), ("dar", desk_dar_values(seed)),
+                               ("reweight", {**desk_values(seed), "policy": "reweight"})):
             run = work / f"desk-{policy}-{seed}"
-            preset = ["--preset", "desk-default"] if policy == "dar" else []
-            _run(["train", "--config", config, *preset, "--seed", str(seed), "--out", str(run)])
+            _run(["train", "--config", _config(work / f"{policy}-{seed}.txt", values),
+                  "--out", str(run)])
             made[f"desk/seed{seed}/{policy}/metrics.jsonl"] = (run / "metrics.jsonl").read_bytes()
     made.update(_idx_flip_run(work))
     made["cost/imagenet-default.stdout"] = _run(
