@@ -3,8 +3,7 @@
 from .baselines import WeightVector, reweight, uniform_policy
 from .config import DataConfig, ExperimentConfig, apply_preset, build_experiment_config
 from .datasets import (Batch, Dataset, GaussianNoise, HorizontalFlip, NoAugment,
-                       SyntheticSpec, augment, epoch_batches, gen_gaussian,
-                       load_csv, load_idx)
+                       SyntheticSpec, epoch_batches, gen_gaussian, load_csv, load_idx)
 from .harness import (CompareRow, EpochRecord, RunReport, compare,
                       export_features, run_experiment)
 from .model import (BatchOutput, ParamSet, TrainHyper, backward, forward,
@@ -19,7 +18,7 @@ __all__ = [
     "DataConfig", "Dataset", "EpochRecord", "ExperimentConfig",
     "GaussianNoise", "HorizontalFlip", "LossLedger", "NoAugment", "ParamSet",
     "RunReport", "SchedulerState", "SyntheticSpec", "TrainHyper",
-    "WeightVector", "apply_preset", "augment", "backward",
+    "WeightVector", "apply_preset", "backward",
     "build_experiment_config", "compare", "end_of_epoch", "epoch_batches",
     "export_features", "forward", "gen_gaussian", "init", "init_params",
     "load_csv", "load_idx", "lr_at", "planned_cost", "reweight",

@@ -7,6 +7,7 @@ from its own output.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Union
@@ -27,19 +28,19 @@ REQUIRED = object()  # the default of a key that every config sets
 # Each key's kind and default, then what a set value may be: a number, or each entry of a
 # list, finite and in [low, high] (high defaults to inf), or a text key one of its names.
 # "ints" and "floats" are comma-separated lists. An unset or empty key takes its default,
-# as does an "ints" value of "none" or with no entries.
+# as does an "ints" value of "none" or with no entries. Sizes stop at sys.maxsize, as numpy axes do.
 _KEYS: dict[str, tuple] = {
     "data.source": ("text", REQUIRED, ("csv", "idx", "synthetic")), "data.csv": ("text", None),
     "data.idx_images": ("text", None), "data.idx_labels": ("text", None),
-    "data.class_count": ("int", None), "data.val_fraction": ("float", 0.0, 0.0, 0.5),
-    "data.val_csv": ("text", None), "data.val_idx_images": ("text", None),
+    "data.class_count": ("int", None, 2, sys.maxsize), "data.val_csv": ("text", None),
+    "data.val_fraction": ("float", 0.0, 0.0, 0.5), "data.val_idx_images": ("text", None),
     "data.val_idx_labels": ("text", None),
     "data.augment": ("text", "none", ("none", "gaussian_noise", "horizontal_flip")),
     "data.augment_sigma": ("float", 0.1, 0.0), "data.augment_prob": ("float", 0.5, 0.0, 1.0),
-    "synthetic.classes": ("int", 2, 2), "synthetic.dim": ("int", 2, 1),
-    "synthetic.per_class": ("ints", (100,), 1), "synthetic.std": ("floats", (1.0,), 0.0),
-    "synthetic.mean_scale": ("float", 1.0, 0.0), "synthetic.seed": ("int", 0, 0),
-    "model.hidden": ("ints", (), 1), "policy": ("text", "uniform", POLICIES),
+    "synthetic.classes": ("int", 2, 2, sys.maxsize), "synthetic.dim": ("int", 2, 1, sys.maxsize),
+    "synthetic.per_class": ("ints", (100,), 1, sys.maxsize), "synthetic.seed": ("int", 0, 0),
+    "synthetic.std": ("floats", (1.0,), 0.0), "synthetic.mean_scale": ("float", 1.0, 0.0),
+    "model.hidden": ("ints", (), 1, sys.maxsize), "policy": ("text", "uniform", POLICIES),
     "train.total_epochs": ("int", REQUIRED), "train.base_lr": ("float", REQUIRED),
     "train.momentum": ("float", 0.0), "train.weight_decay": ("float", 0.0, 0.0),
     "train.lr_milestones": ("ints", ()), "train.lr_gamma": ("float", 0.1),
@@ -186,6 +187,10 @@ def _data_from(values: Mapping[str, str]) -> DataConfig:
     if stray:
         raise ConfigError(f"data.source={source} but {stray[0]} is set; configs use exactly "
                           f"one dataset source")
+    class_count = _get(values, "data.class_count")
+    if source == "synthetic" and class_count is not None:
+        raise ConfigError("data.class_count is for csv and idx data; data.source = synthetic "
+                          "takes synthetic.classes")
     val_fraction = _get(values, "data.val_fraction")
     explicit_val = ("data.val_csv", "data.val_idx_images", "data.val_idx_labels")
     if val_fraction > 0.0 and any(values.get(k) for k in explicit_val):
@@ -196,7 +201,7 @@ def _data_from(values: Mapping[str, str]) -> DataConfig:
         idx_images=_get(values, "data.idx_images"),
         idx_labels=_get(values, "data.idx_labels"),
         synthetic=_synthetic_from(values) if source == "synthetic" else None,
-        class_count=_get(values, "data.class_count"),
+        class_count=class_count,
         val_fraction=val_fraction,
         val_csv_path=_get(values, "data.val_csv"),
         val_idx_images=_get(values, "data.val_idx_images"),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -178,7 +178,7 @@ def load_csv(path: Union[str, Path], class_count: int | None = None) -> Dataset:
         labels.append(label)
     if not rows:
         raise DatasetError(f"{path}: no data rows")
-    resolved = max(2, max(labels) + 1 if class_count is None else class_count)
+    resolved = max(2, max(labels) + 1) if class_count is None else class_count
     return Dataset(np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64), resolved)
 
 
@@ -270,43 +270,6 @@ def _uniforms(epoch_key: int, ids: np.ndarray, count: int) -> np.ndarray:
     return (_mix(streams[:, None] + counters) >> np.uint64(11)) * 2.0 ** -53
 
 
-def _augment_rows(rows: np.ndarray, policy: AugmentPolicy, epoch_key: int, ids: np.ndarray,
-                  image_shape: tuple[int, int, int] | None, as_float=lambda r: r) -> np.ndarray:
-    """Transform rows (n, d) in place, row r keyed by (epoch_key, ids[r]), flips before
-    ``as_float`` (they only move values) and noise after it; returns its float rows."""
-    if isinstance(policy, NoAugment) or policy == GaussianNoise(0.0):
-        return as_float(rows)
-    if isinstance(policy, GaussianNoise):
-        rows = as_float(rows)
-        half = (rows.shape[1] + 1) // 2
-        u = _uniforms(epoch_key, ids, 2 * half)
-        radius, angle = np.sqrt(-2.0 * np.log1p(-u[:, :half])), 2.0 * np.pi * u[:, half:]
-        normals = np.hstack([radius * np.cos(angle), radius * np.sin(angle)])
-        rows += policy.sigma * normals[:, :rows.shape[1]]
-        return rows
-    if isinstance(policy, HorizontalFlip):
-        if image_shape is None:
-            raise DatasetError("horizontal flip needs image-shaped data")
-        h, w, c = image_shape
-        if h * w * c != rows.shape[1]:
-            raise DatasetError(
-                f"image_shape {image_shape} does not flatten to {rows.shape[1]}")
-        flips = _uniforms(epoch_key, ids, 1)[:, 0] < policy.prob
-        rows[flips] = rows[flips].reshape(-1, h, w, c)[:, :, ::-1].reshape(-1, h * w * c)
-        return as_float(rows)
-    raise DatasetError(f"unknown augmentation policy: {policy!r}")
-
-
-def augment(features: np.ndarray, policy: AugmentPolicy, epoch_key: int,
-            example_id: int, image_shape: tuple[int, int, int] | None = None) -> np.ndarray:
-    """Transform one example vector; keyed by (epoch_key, example_id) only."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 1:
-        raise DatasetError(f"augment expects one example vector, got shape {features.shape}")
-    return _augment_rows(features[None, :].copy(), policy, int(epoch_key),
-                         np.array([int(example_id)], dtype=np.int64), image_shape)[0]
-
-
 def epoch_batches(active_ids: Sequence[int], batch_size: int, run_seed: int,
                   epoch: int) -> list[np.ndarray]:
     """Shuffled batch plan: int64 slices of one permutation; the tail may be short."""
@@ -329,8 +292,23 @@ class Batch:
 
 def make_batch(dataset: Dataset, ids: Sequence[int], policy: AugmentPolicy,
                epoch_key: int) -> Batch:
-    """Materialize one batch with one gather, applying the augmentation per example."""
+    """Materialize one batch with one gather and transform row r keyed by (epoch_key, ids[r]):
+    flips while the rows are still stored (they only move values), noise after ``as_float``."""
     ids = np.asarray(ids, dtype=np.int64)
-    features = _augment_rows(dataset.stored[ids], policy, int(epoch_key), ids,
-                             dataset.image_shape, dataset.as_float)
+    rows = dataset.stored[ids]
+    if isinstance(policy, HorizontalFlip):
+        if dataset.image_shape is None:
+            raise DatasetError("horizontal flip needs image-shaped data")
+        flips = _uniforms(epoch_key, ids, 1)[:, 0] < policy.prob
+        images = rows[flips].reshape(-1, *dataset.image_shape)
+        rows[flips] = images[:, :, ::-1].reshape(-1, dataset.dim)
+    elif not isinstance(policy, (NoAugment, GaussianNoise)):
+        raise DatasetError(f"unknown augmentation policy: {policy!r}")
+    features = dataset.as_float(rows)
+    if isinstance(policy, GaussianNoise) and policy.sigma > 0.0:
+        half = (dataset.dim + 1) // 2
+        u = _uniforms(epoch_key, ids, 2 * half)
+        radius, angle = np.sqrt(-2.0 * np.log1p(-u[:, :half])), 2.0 * np.pi * u[:, half:]
+        normals = np.hstack([radius * np.cos(angle), radius * np.sin(angle)])
+        features += policy.sigma * normals[:, :dataset.dim]
     return Batch(ids=ids, features=features, labels=dataset.labels[ids])

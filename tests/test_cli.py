@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,11 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dropfresh
+from dropfresh import config
 from dropfresh.cli import main
 from dropfresh.harness import save_params
-from dropfresh.model import ParamSet
+from dropfresh.model import ParamSet, init_params
 from dropfresh.scheduler import DarConfig, planned_cost
 
 TOY_VALUES = {
@@ -416,17 +422,38 @@ def test_an_unallocatable_size_is_one_json_line(write_config, capsys, command, k
 
 
 @pytest.mark.parametrize("command", ["cost", "train"])
-@pytest.mark.parametrize("key", ["model.hidden", "synthetic.classes"])
+@pytest.mark.parametrize("key", ["model.hidden", "synthetic.classes", "synthetic.per_class",
+                                 "synthetic.dim"])
 def test_a_401_digit_size_is_one_json_line(write_config, capsys, command, key):
-    # too large for a float (math.sqrt in init_params) or an index (per_class * classes)
+    # no numpy axis is longer than sys.maxsize, so a larger size is refused before any work
     path = write_config({**TOY_VALUES, key: "9" * 401})
-    code = main([command, "--config", str(path)])
+    assert main([command, "--config", str(path)]) == 1
     out, err = capsys.readouterr()
-    if (command, key) == ("cost", "model.hidden"):  # cost builds no model
-        assert code == 0 and err == "", err
-        return
-    assert code == 1 and out == "" and len(err.splitlines()) == 1, err
-    assert json.loads(err)["error"] == "OverflowError"
+    assert out == "" and len(err.splitlines()) == 1, err
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError" and payload["message"].startswith(f"{key} ")
+
+
+@pytest.mark.parametrize("command", ["cost", "train"])
+@pytest.mark.parametrize("source, value", [("synthetic", "7"), ("synthetic", "-3"), ("csv", "1"),
+                                           ("csv", "-3"),
+                                           pytest.param("csv", "9" * 401, id="csv-401-digits")])
+def test_a_class_count_that_cannot_apply_is_a_config_error(write_config, tmp_path, capsys,
+                                                           command, source, value):
+    # a synthetic source counts its classes with synthetic.classes; a set count is never raised
+    values = dict(TOY_VALUES)
+    if source == "csv":
+        data = tmp_path / "data.csv"
+        data.write_text("".join(f"{i % 2},{i}.0,{-i}.0\n" for i in range(8)))
+        values = {"data.source": "csv", "data.csv": str(data),
+                  "train.total_epochs": "2", "train.base_lr": "0.1"}
+    path = write_config({**values, "data.class_count": value})
+    assert main([command, "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError", payload
+    assert payload["message"].startswith("data.class_count "), payload
 
 
 def test_synthetic_overflow_is_one_json_line_without_a_warning(write_config):
@@ -501,3 +528,140 @@ def test_flips_need_idx_data(write_config, tmp_path, capsys, command, source):
     assert code == 1 and out == "" and len(err.splitlines()) == 1, err
     payload = json.loads(err)
     assert payload["error"] == "ConfigError" and "data.augment" in payload["message"], payload
+
+
+# Fuzzing the CLI's error contract: a command exits 0 with nothing on stderr, or exits 1 with
+# nothing on stdout and one JSON line on stderr.
+
+def assert_one_json_line_or_clean_exit(argv: list[str]) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == "", err
+    else:
+        assert code == 1 and out == "" and len(err.splitlines()) == 1, (code, out, err)
+        assert set(json.loads(err)) == {"error", "message"}, err
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Valid data of every source (2 features each) and a saved [2, 3, 2] model."""
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {"dir": root, "csv": root / "data.csv", "images": root / "images",
+             "labels": root / "labels", "model": root / "model.bin"}
+    files["csv"].write_text("".join(f"{i % 2},{i}.0,{-i}.5\n" for i in range(8)))
+    files["images"].write_bytes(idx_bytes(0x803, (8, 1, 2), np.arange(16) * 9))
+    files["labels"].write_bytes(idx_bytes(0x801, (8,), np.arange(8) % 2))
+    save_params(init_params([2, 3, 2], 0), files["model"])
+    return files
+
+
+FUZZ_BASE = {"train.total_epochs": "3", "train.base_lr": "0.1", "train.batch_size": "4",
+             "policy": "dar", "dar.keep_rate": "0.5", "run.seed": "1"}
+GARBAGE = ["", " ", "abc", ",", "1,,2", "0x10", "1e3", "nan", "inf", "-inf", "none", "1 2"]
+HUGE = [sys.maxsize + 1, int("9" * 401), -int("9" * 401)]
+
+
+def key_values(key: str, paths: list[str]) -> st.SearchStrategy[str]:
+    """Values for one ``_KEYS`` entry: its bounds +-1, sizes past sys.maxsize, 401 digits, NaN,
+    inf, empty values and garbage. No size lies in [10**6, sys.maxsize], which may allocate
+    rather than fail, and no run is longer than 3 epochs, as ``cost`` traces each one."""
+    kind, default, *accepts = config._KEYS[key]
+    if kind == "text":
+        return st.sampled_from([*GARBAGE, *(accepts[0] if accepts else paths)])
+    bounds = [b for b in (*accepts, math.inf)[:2] if abs(b) < math.inf]
+    numbers = {-1, 0, 1, 2, 3, *HUGE, *(b + d for b in bounds for d in (-1, 0, 1))}
+    numbers = sorted(v for v in numbers if not 10**6 <= v <= sys.maxsize
+                     and (key != "train.total_epochs" or v <= 3))
+    texts = [str(float(v) if kind in ("float", "floats") and abs(v) < 1e300 else v)
+             for v in numbers]
+    if kind in ("ints", "floats"):  # half the draws are numbers, half garbage
+        numeric = st.lists(st.sampled_from(texts), min_size=1, max_size=3).map(",".join)
+    else:
+        numeric = st.sampled_from(texts)
+    return numeric | st.sampled_from(GARBAGE)
+
+
+@st.composite
+def fuzz_configs(draw, files) -> dict[str, str]:
+    """A valid config of one source with one or two keys set to drawn values."""
+    paths = [str(files[k]) for k in ("csv", "images", "labels", "model")]
+    paths += [str(files["dir"] / "runs"), str(files["dir"] / "missing" / "out")]
+    source = draw(st.sampled_from(["synthetic", "csv", "idx"]))
+    values = {**FUZZ_BASE, "data.source": source, **{
+        "synthetic": {"synthetic.classes": "2", "synthetic.dim": "2", "synthetic.per_class": "4"},
+        "csv": {"data.csv": str(files["csv"])},
+        "idx": {"data.idx_images": str(files["images"]), "data.idx_labels": str(files["labels"]),
+                "data.class_count": "2"}}[source]}
+    keys = draw(st.lists(st.sampled_from(sorted(config._KEYS)), min_size=1, max_size=2,
+                         unique=True))
+    return {**values, **{key: draw(key_values(key, paths)) for key in keys}}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), command=st.sampled_from(["cost", "train"]))
+def test_fuzzed_config_values_give_one_json_line_or_a_clean_exit(fuzz_files, data, command):
+    path = fuzz_files["dir"] / "fuzz.txt"
+    values = data.draw(fuzz_configs(fuzz_files))
+    path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    assert_one_json_line_or_clean_exit([command, "--config", str(path)])
+
+
+def corrupt(draw, blob: bytes) -> bytes:
+    """``blob`` unchanged, cut short, with bytes appended or overwritten, or replaced whole."""
+    how = draw(st.sampled_from(["keep", "cut", "append", "overwrite", "replace"]))
+    if how == "keep":
+        return blob
+    if how == "cut":
+        return blob[:draw(st.integers(0, max(len(blob) - 1, 0)))]
+    extra = draw(st.binary(min_size=1, max_size=24))
+    if how == "append":
+        return blob + extra
+    if how == "overwrite":
+        at = draw(st.integers(0, len(blob)))
+        return blob[:at] + extra + blob[at + len(extra):]
+    return extra
+
+
+SIDECARS = st.one_of(
+    st.sampled_from(["", "null", "[]", "{}", "{", "not json", '{"layer_sizes": "2,3,2"}']),
+    st.fixed_dictionaries({
+        "dtype": st.sampled_from(["<f8", ">f8", "f4", 8]),
+        "layer_sizes": st.lists(st.sampled_from([-1, 0, 1, 2, 3, 2.0, True, None, *HUGE]),
+                                max_size=4),
+        "value_count": st.sampled_from([17, 16, 0, -1, 17.0, None, *HUGE]),
+    }).map(json.dumps))
+CSV_CELLS = st.sampled_from(["0", "1", "2", "-1", "1.5", "-0.0", "x", "", "nan", "inf", "1e400",
+                             "9" * 401])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_export_inputs_give_one_json_line_or_a_clean_exit(fuzz_files, data):
+    # one input at a time is broken, or none, so the others reach the deeper checks
+    root, model = fuzz_files["dir"], fuzz_files["model"]
+    fault = data.draw(st.sampled_from(["none", "model.bin", "model.json", "csv", "idx", "spec"]))
+    bin_path, json_path = root / "fuzz-model.bin", root / "fuzz-model.json"
+    blob = model.read_bytes()
+    bin_path.write_bytes(corrupt(data.draw, blob) if fault == "model.bin" else blob)
+    sidecar = model.with_suffix(".json").read_text()
+    json_path.write_text(data.draw(SIDECARS) if fault == "model.json" else sidecar)
+    spec = data.draw(st.sampled_from([f"csv:{fuzz_files['csv']}",
+                                      f"idx:{fuzz_files['images']},{fuzz_files['labels']}"]))
+    if fault == "csv":
+        rows = data.draw(st.lists(st.lists(CSV_CELLS, min_size=1, max_size=4).map(",".join),
+                                  max_size=5))
+        (root / "fuzz.csv").write_text("\n".join(rows))
+        spec = f"csv:{root / 'fuzz.csv'}"
+    elif fault == "idx":
+        images, labels = root / "fuzz-images", root / "fuzz-labels"
+        images.write_bytes(corrupt(data.draw, fuzz_files["images"].read_bytes()))
+        labels.write_bytes(corrupt(data.draw, fuzz_files["labels"].read_bytes()))
+        spec = f"idx:{images},{labels}"
+    elif fault == "spec":
+        spec = data.draw(st.sampled_from(["csv:", "idx:", f"idx:{root}", "config:", "x:y",
+                                          f"config:{fuzz_files['csv']}", f"csv:{root}"]))
+    assert_one_json_line_or_clean_exit(["export-features", "--model", str(bin_path),
+                                        "--data", spec, "--out", str(root / "features.csv")])

@@ -9,8 +9,8 @@ import pytest
 from dropfresh.datasets import (BadMagicError, Batch, CountMismatchError, Dataset,
                                 DatasetError, GaussianNoise, HorizontalFlip, IdxPair,
                                 NoAugment, SyntheticSpec, TruncatedPayloadError,
-                                augment, epoch_batches, epoch_seed, gen_gaussian,
-                                load_csv, load_idx, make_batch)
+                                epoch_batches, epoch_seed, gen_gaussian, load_csv, load_idx,
+                                make_batch)
 from dropfresh.datasets import _mix, _uniforms
 from helpers import bit_equal, example_ids, save_csv, subset
 
@@ -136,6 +136,11 @@ def test_load_csv_infers_class_count(tmp_path):
     path.write_text("0,1.0\n3,2.0\n")
     assert load_csv(path).class_count == 4
     assert load_csv(path, class_count=7).class_count == 7
+    path.write_text("0,1.0\n0,2.0\n")
+    assert load_csv(path).class_count == 2  # an inferred count is at least 2
+    for explicit in (1, 0, -3):  # a set count is used as given, so the dataset check sees it
+        with pytest.raises(DatasetError, match=rf"class_count must be >= 2, got {explicit}$"):
+            load_csv(path, class_count=explicit)
 
 
 def test_load_csv_errors_name_line(tmp_path):
@@ -225,23 +230,28 @@ def test_synthetic_spec_validation():
         SyntheticSpec(means=((0.0,), (1.0,)), stds=(1.0, 1.0, 1.0), counts=(1, 1), seed=0)
 
 
+def one_row(dataset: Dataset, policy, epoch_key: int, example_id: int) -> np.ndarray:
+    """Example ``example_id`` as a batch of one transforms it."""
+    return make_batch(dataset, [example_id], policy, epoch_key).features[0]
+
+
 def test_augment_none_is_identity():
-    x = np.array([1.0, 2.0, 3.0])
-    out = augment(x, NoAugment(), epoch_key=5, example_id=0)
-    assert np.array_equal(out, x)
+    ds = Dataset(np.array([[1.0, -0.0, 3.0], [4.0, 5.0, -6.5]]), np.array([0, 1]), class_count=2)
+    for policy in (NoAugment(), GaussianNoise(0.0)):  # zero noise adds nothing, not even -0.0
+        batch = make_batch(ds, [1, 0, 1], policy, epoch_key=5)
+        assert bit_equal(batch.features, ds.features[[1, 0, 1]])
 
 
 def test_gaussian_noise_keyed_by_epoch_and_example():
-    x = np.zeros(4)
+    ds = Dataset(np.zeros((5, 4)), np.arange(5) % 2, class_count=2)
     policy = GaussianNoise(sigma=0.5)
-    a = augment(x, policy, epoch_key=10, example_id=3)
-    again = augment(x, policy, epoch_key=10, example_id=3)
-    other_example = augment(x, policy, epoch_key=10, example_id=4)
-    other_epoch = augment(x, policy, epoch_key=11, example_id=3)
+    a = one_row(ds, policy, epoch_key=10, example_id=3)
+    again = one_row(ds, policy, epoch_key=10, example_id=3)
+    other_example = one_row(ds, policy, epoch_key=10, example_id=4)
+    other_epoch = one_row(ds, policy, epoch_key=11, example_id=3)
     assert np.array_equal(a, again)
     assert not np.array_equal(a, other_example)
     assert not np.array_equal(a, other_epoch)
-    assert np.array_equal(augment(x, GaussianNoise(sigma=0.0), 10, 3), x)
 
 
 def test_gaussian_noise_validation():
@@ -250,21 +260,26 @@ def test_gaussian_noise_validation():
 
 
 def test_horizontal_flip_involution():
-    x = np.arange(6.0)  # 2x3 image, asymmetric
+    x = np.arange(12.0).reshape(2, 6)  # two 2x3 images, asymmetric
+    ds = Dataset(x, np.array([0, 1]), class_count=2, image_shape=(2, 3, 1))
     policy = HorizontalFlip(prob=1.0)
-    flipped = augment(x, policy, 1, 1, image_shape=(2, 3, 1))
-    assert not np.array_equal(flipped, x)
-    assert np.array_equal(flipped, [2, 1, 0, 5, 4, 3])
-    restored = augment(flipped, policy, 1, 1, image_shape=(2, 3, 1))
-    assert np.array_equal(restored, x)
-    assert np.array_equal(augment(x, HorizontalFlip(prob=0.0), 1, 1, (2, 3, 1)), x)
+    flipped = make_batch(ds, [0, 1], policy, 1).features
+    assert flipped.tolist() == [[2, 1, 0, 5, 4, 3], [8, 7, 6, 11, 10, 9]]
+    again = Dataset(flipped, ds.labels, class_count=2, image_shape=(2, 3, 1))
+    assert np.array_equal(make_batch(again, [0, 1], policy, 1).features, x)
+    assert np.array_equal(make_batch(ds, [0, 1], HorizontalFlip(prob=0.0), 1).features, x)
 
 
 def test_horizontal_flip_needs_image_shape():
+    ds = Dataset(np.arange(4.0).reshape(1, 4), np.array([0]), class_count=2)
     with pytest.raises(DatasetError, match="image-shaped"):
-        augment(np.arange(4.0), HorizontalFlip(prob=1.0), 1, 1)
-    with pytest.raises(DatasetError, match="flatten"):
-        augment(np.arange(4.0), HorizontalFlip(prob=1.0), 1, 1, image_shape=(3, 3, 1))
+        make_batch(ds, [0], HorizontalFlip(prob=1.0), 1)
+
+
+def test_make_batch_refuses_an_unknown_policy():
+    ds = Dataset(np.arange(4.0).reshape(1, 4), np.array([0]), class_count=2)
+    with pytest.raises(DatasetError, match="unknown augmentation policy"):
+        make_batch(ds, [0], "horizontal_flip", 1)
 
 
 def test_epoch_seed_distinct():
@@ -333,41 +348,25 @@ def test_make_batch_gathers_and_copies():
     assert ds.features[5, 0] == 10.0
 
 
-def test_make_batch_applies_augmentation_per_example():
-    ds = Dataset(np.zeros((4, 3)), np.array([0, 1, 0, 1]), class_count=2)
-    key = epoch_seed(0, 1)
-    batch = make_batch(ds, (1, 2), GaussianNoise(sigma=1.0), key)
-    assert np.array_equal(batch.features[0], augment(ds.features[1],
-                                                     GaussianNoise(1.0), key, 1))
-    assert np.array_equal(batch.features[1], augment(ds.features[2],
-                                                     GaussianNoise(1.0), key, 2))
-    # batch membership does not change the transform an example receives
-    solo = make_batch(ds, (2,), GaussianNoise(sigma=1.0), key)
-    assert np.array_equal(solo.features[0], batch.features[1])
-
-
 def test_epoch_batches_are_int64_slices():
     batches = epoch_batches(range(10), 4, run_seed=0, epoch=1)
     assert all(b.dtype == np.int64 for b in batches)
     assert all(b.base is batches[0].base is not None for b in batches)  # one permutation
 
 
-def test_make_batch_applies_flip_per_example():
-    ds = Dataset(np.arange(48.0).reshape(8, 6), np.arange(8) % 2, class_count=2,
-                 image_shape=(2, 3, 1))
-    policy = HorizontalFlip(prob=0.5)
-    key = epoch_seed(0, 1)
-    ids = list(range(8))
-    batch = make_batch(ds, ids, policy, key)
-    rows = [augment(ds.features[i], policy, key, i, ds.image_shape) for i in ids]
-    assert np.array_equal(batch.features, np.stack(rows))
-    flipped = [i for i in ids if not np.array_equal(rows[i], ds.features[i])]
-    assert 0 < len(flipped) < len(ids)  # both branches are exercised
+def test_make_batch_applies_augmentation_per_example():
     # batch membership does not change the transform an example receives
-    for i in ids:
-        solo = make_batch(ds, [i], policy, key)
-        assert np.array_equal(solo.features[0], batch.features[i])
-    assert np.array_equal(ds.features, np.arange(48.0).reshape(8, 6))
+    key = epoch_seed(0, 1)
+    for policy in (GaussianNoise(1.0), HorizontalFlip(0.5)):
+        for ds in pixel_pair():  # uint8 pixels, then float64 rows
+            stored, shuffled = ds.stored.copy(), np.random.default_rng(5).permutation(ds.n)
+            batch = make_batch(ds, np.arange(ds.n), policy, key).features
+            for i in range(ds.n):
+                assert bit_equal(one_row(ds, policy, key, i), batch[i])
+            assert bit_equal(make_batch(ds, shuffled, policy, key).features, batch[shuffled])
+            changed = (batch != ds.features).any(axis=1)
+            assert changed.any() and (isinstance(policy, GaussianNoise) or not changed.all())
+            assert bit_equal(ds.stored, stored)  # the transform works on a gathered copy
 
 
 def test_mix_matches_published_splitmix64_outputs():
@@ -410,14 +409,14 @@ def test_uniforms_match_a_python_integer_reference():
 
 
 def test_gaussian_noise_is_box_muller_of_the_uniforms():
-    x = np.zeros(5)
+    ds = Dataset(np.zeros((5, 5)), np.arange(5) % 2, class_count=2)
     u = _uniforms(99, np.array([4], dtype=np.int64), 6)[0]
     # pair k is (u[k], u[3 + k]); the three cosine draws come first, then the sines
     radius = [math.sqrt(-2.0 * math.log1p(-u[k])) for k in range(3)]
     angle = [2.0 * math.pi * u[3 + k] for k in range(3)]
     normals = ([r * math.cos(a) for r, a in zip(radius, angle)]
                + [r * math.sin(a) for r, a in zip(radius, angle)])
-    assert np.allclose(augment(x, GaussianNoise(2.0), 99, 4), 2.0 * np.array(normals[:5]),
+    assert np.allclose(one_row(ds, GaussianNoise(2.0), 99, 4), 2.0 * np.array(normals[:5]),
                        rtol=1e-12, atol=1e-12)
 
 
@@ -456,17 +455,19 @@ def test_gaussian_noise_moments(dim):
 
 
 def test_extreme_ids_and_keys_augment_without_warnings():
-    x = np.arange(6.0)
+    ds = Dataset(np.arange(12.0).reshape(2, 6), np.array([0, 1]), class_count=2,
+                 image_shape=(2, 3, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for example_id in (2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1):
-            for key in (0, 2**32 - 1):
-                flipped = augment(x, HorizontalFlip(1.0), key, example_id, (2, 3, 1))
-                assert np.array_equal(flipped, [2, 1, 0, 5, 4, 3])
-                noisy = augment(x, GaussianNoise(1.0), key, example_id)
-                assert np.isfinite(noisy).all() and not np.array_equal(noisy, x)
-        ids = np.array([0, 2**62, 2**63 - 1], dtype=np.int64)
-        assert np.isfinite(_uniforms(2**32 - 1, ids, 3)).all()
+        for key in (0, 2**32 - 1, 2**64 - 1):
+            flipped = make_batch(ds, [1, 0], HorizontalFlip(1.0), key).features
+            assert flipped.tolist() == [[8, 7, 6, 11, 10, 9], [2, 1, 0, 5, 4, 3]]
+            noisy = make_batch(ds, [1, 0], GaussianNoise(1.0), key).features
+            assert np.isfinite(noisy).all() and not np.array_equal(noisy, ds.features[[1, 0]])
+        # ids of 2**62 and above index no dataset, but their draws are still well defined
+        ids = np.array([0, 2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1], dtype=np.int64)
+        for key in (0, 2**32 - 1):
+            assert np.isfinite(_uniforms(key, ids, 3)).all()
 
 
 def pixel_pair(n: int = 40, side: int = 8, seed: int = 3) -> tuple[Dataset, Dataset]:
