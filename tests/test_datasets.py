@@ -369,6 +369,26 @@ def test_make_batch_applies_augmentation_per_example():
             assert bit_equal(ds.stored, stored)  # the transform works on a gathered copy
 
 
+def test_make_batch_applies_flip_per_example():
+    ds = Dataset(np.arange(48.0).reshape(8, 6), np.arange(8) % 2, class_count=2,
+                 image_shape=(2, 3, 1))
+    policy = HorizontalFlip(prob=0.5)
+    key = epoch_seed(0, 1)
+    ids = list(range(8))
+    batch = make_batch(ds, ids, policy, key)
+    # example i is mirrored along the width iff its first draw falls below prob
+    draws = _uniforms(key, np.array(ids, dtype=np.int64), 1)[:, 0]
+    images = ds.features.reshape(8, 2, 3, 1)
+    rows = [(images[i, :, ::-1] if draws[i] < 0.5 else images[i]).reshape(6) for i in ids]
+    assert np.array_equal(batch.features, np.stack(rows))
+    flipped = [i for i in ids if not np.array_equal(rows[i], ds.features[i])]
+    assert 0 < len(flipped) < len(ids)  # both branches are exercised
+    # batch membership does not change the transform an example receives
+    for i in ids:
+        assert np.array_equal(one_row(ds, policy, key, i), batch.features[i])
+    assert np.array_equal(ds.features, np.arange(48.0).reshape(8, 6))
+
+
 def test_mix_matches_published_splitmix64_outputs():
     # SplitMix64 seeded with 0 emits mix(k * golden) for k = 1, 2, 3, ...
     golden = np.uint64(0x9E3779B97F4A7C15)
