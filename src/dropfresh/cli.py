@@ -8,9 +8,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import scheduler
-from .config import (ConfigError, apply_preset, build_experiment_config,
+from .config import (ConfigError, DataConfig, apply_preset, build_experiment_config,
                      read_config_file, PRESET_NAMES)
-from .datasets import Dataset, DatasetError, load_csv, load_idx
+from .datasets import Dataset, DatasetError
 from .harness import (HarnessError, _atomic_write, compare, export_features, load_dataset,
                       load_params, run_experiment_with_params, training_population,
                       write_run_outputs)
@@ -95,18 +95,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _dataset_from_spec(spec: str) -> Dataset:
+    """The training set of a config file's data, or all of a CSV file or IDX pair."""
     kind, _, rest = spec.partition(":")
-    if kind == "csv" and rest:
-        return load_csv(rest)
-    if kind == "idx":
-        images, _, labels = rest.partition(",")
-        if not images or not labels:
-            raise ConfigError("idx data spec is idx:<image-file>,<label-file>")
-        return load_idx(images, labels)
+    paths = tuple(rest.split(",", 1)) if kind == "idx" else (rest,)
+    if kind == "idx" and not (len(paths) == 2 and all(paths)):
+        raise ConfigError("idx data spec is idx:<image-file>,<label-file>")
     if kind == "config" and rest:
         cfg = build_experiment_config(read_config_file(rest))
-        train_set, _ = load_dataset(cfg.data, cfg.run_seed)
-        return train_set
+        return load_dataset(cfg.data, cfg.run_seed)[0]
+    if kind in ("csv", "idx") and all(paths):
+        return load_dataset(DataConfig(kind, paths), 0)[0]
     raise ConfigError(
         f"--data must be csv:<file>, idx:<images>,<labels>, or config:<file>; got {spec!r}")
 
@@ -161,7 +159,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DatasetError, HarnessError, ValueError, OSError, MemoryError,
             OverflowError) as exc:
         kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-        line = json.dumps({"error": kind, "message": str(exc)})
+        message = str(exc) or ("out of memory" if kind == "MemoryError" else kind)
+        line = json.dumps({"error": kind, "message": message})
         print(line, file=sys.stderr)
         return 1
 

@@ -57,6 +57,7 @@ _KINDS = {"int": (int, "an integer"), "float": (float, "a number"),
 # the keys that name each source's data; a config sets only its own source's keys
 _SOURCE_KEYS = {"csv": ("data.csv",), "idx": ("data.idx_images", "data.idx_labels"),
                 "synthetic": tuple(key for key in _KEYS if key.startswith("synthetic."))}
+_VAL_SOURCE_KEYS = (("data.val_csv",), ("data.val_idx_images", "data.val_idx_labels"))
 
 
 class ConfigError(ValueError):
@@ -117,16 +118,14 @@ def _get(values: Mapping[str, str], key: str) -> Any:
 
 @dataclass(frozen=True)
 class DataConfig:
+    """``paths`` and ``val_paths`` each name a CSV file ``(csv,)``, an IDX pair ``(images,
+    labels)`` or nothing: synthetic training data, a split or no validation set."""
     source: str
-    csv_path: str | None = None
-    idx_images: str | None = None
-    idx_labels: str | None = None
+    paths: tuple[str, ...] = ()
     synthetic: SyntheticSpec | None = None
     class_count: int | None = None
     val_fraction: float = 0.0
-    val_csv_path: str | None = None
-    val_idx_images: str | None = None
-    val_idx_labels: str | None = None
+    val_paths: tuple[str, ...] = ()
     augment: AugmentPolicy = NoAugment()
 
 
@@ -192,25 +191,24 @@ def _data_from(values: Mapping[str, str]) -> DataConfig:
         raise ConfigError("data.class_count is for csv and idx data; data.source = synthetic "
                           "takes synthetic.classes")
     val_fraction = _get(values, "data.val_fraction")
-    explicit_val = ("data.val_csv", "data.val_idx_images", "data.val_idx_labels")
-    if val_fraction > 0.0 and any(values.get(k) for k in explicit_val):
+    val_keys = [keys for keys in _VAL_SOURCE_KEYS if any(values.get(k) for k in keys)]
+    if val_fraction > 0.0 and val_keys:
         raise ConfigError("set data.val_fraction or an explicit validation file, not both")
-    cfg = DataConfig(
+    if len(val_keys) > 1:
+        raise ConfigError("set data.val_csv or data.val_idx_images and data.val_idx_labels, "
+                          "not both")
+    cfg = DataConfig(  # a path left unset is None here and refused below
         source=source,
-        csv_path=_get(values, "data.csv"),
-        idx_images=_get(values, "data.idx_images"),
-        idx_labels=_get(values, "data.idx_labels"),
+        paths=tuple(values.get(k) for k in _SOURCE_KEYS[source] if source != "synthetic"),
         synthetic=_synthetic_from(values) if source == "synthetic" else None,
         class_count=class_count,
         val_fraction=val_fraction,
-        val_csv_path=_get(values, "data.val_csv"),
-        val_idx_images=_get(values, "data.val_idx_images"),
-        val_idx_labels=_get(values, "data.val_idx_labels"),
+        val_paths=tuple(values.get(k) for keys in val_keys for k in keys),
         augment=_augment_from(values, source),
     )
-    if source != "synthetic" and not all(values.get(k) for k in _SOURCE_KEYS[source]):
+    if not all(cfg.paths):
         raise ConfigError(f"data.source={source} requires {' and '.join(_SOURCE_KEYS[source])}")
-    if (cfg.val_idx_images is None) != (cfg.val_idx_labels is None):
+    if not all(cfg.val_paths):
         raise ConfigError("data.val_idx_images and data.val_idx_labels go together")
     return cfg
 

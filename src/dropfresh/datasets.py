@@ -10,6 +10,7 @@ while noise (Box-Muller) also depends on the platform's log1p, cos and sin.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
@@ -169,8 +170,9 @@ def load_csv(path: Union[str, Path], class_count: int | None = None) -> Dataset:
             label = int(cells[0])
         except ValueError:
             raise DatasetError(f"{path}:{lineno}: non-integer label {cells[0]!r}") from None
-        if label < 0:
-            raise DatasetError(f"{path}:{lineno}: negative label {label}")
+        if not 0 <= label < sys.maxsize:  # the class count, label + 1, must fit in int64
+            raise DatasetError(f"{path}:{lineno}: " + (
+                f"negative label {label}" if label < 0 else f"label above {sys.maxsize - 1}"))
         try:
             rows.append([float(c) for c in cells[1:]])
         except ValueError:

@@ -34,20 +34,19 @@ class HarnessError(RuntimeError):
     pass
 
 
-def _open(csv_path: str | None, idx_images: str | None, idx_labels: str | None,
-          class_count: int | None) -> Dataset | IdxPair:
-    if csv_path is not None:
-        return load_csv(csv_path, class_count)
-    return IdxPair(idx_images, idx_labels, 10 if class_count is None else class_count)
+def _open(paths: tuple[str, ...], class_count: int | None) -> Dataset | IdxPair:
+    """One path is a CSV file, two an IDX image/label pair (10 classes unless set)."""
+    if len(paths) == 1:
+        return load_csv(paths[0], class_count)
+    return IdxPair(*paths, 10 if class_count is None else class_count)
 
 
 def _plan(data: DataConfig, seed: int) -> tuple[Dataset | IdxPair, list, Dataset | IdxPair | None]:
     """Training source, its row sets (training ids, then validation ids from the split stream)
     and the explicit validation source, if any; IDX pixels are not read here."""
-    base = (gen_gaussian(data.synthetic) if data.source == "synthetic" else
-            _open(data.csv_path, data.idx_images, data.idx_labels, data.class_count))
-    if data.val_csv_path is not None or data.val_idx_images is not None:
-        val = _open(data.val_csv_path, data.val_idx_images, data.val_idx_labels, base.class_count)
+    base = _open(data.paths, data.class_count) if data.paths else gen_gaussian(data.synthetic)
+    if data.val_paths:
+        val = _open(data.val_paths, base.class_count)
         if val.dim != base.dim:
             raise HarnessError(
                 f"validation feature dim {val.dim} != training feature dim {base.dim}")
@@ -96,16 +95,11 @@ class EpochRecord:
 
 @dataclass(frozen=True)
 class RunReport:
-    config_echo: dict
+    config: dict
     records: tuple[EpochRecord, ...]
     final_validation_accuracy: float | None
     realized_cost_ratio: float
     wall_clock_seconds: float
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["config"] = out.pop("config_echo")
-        return out
 
 
 def metrics_lines(records: Sequence[EpochRecord]) -> list[str]:
@@ -166,7 +160,7 @@ def run_experiment_with_params(cfg: ExperimentConfig) -> tuple[RunReport, ParamS
             cumulative_examples_used=cumulative, action=action.value))
 
     report = RunReport(
-        config_echo=dict(cfg.echo),
+        config=dict(cfg.echo),
         records=tuple(records),
         final_validation_accuracy=records[-1].validation_accuracy,
         realized_cost_ratio=cumulative / (cfg.total_epochs * train_set.n),
@@ -218,11 +212,11 @@ def load_params(path: Union[str, Path]) -> ParamSet:
     if meta.get("dtype") != "<f8" or meta.get("value_count") != expected:
         raise HarnessError(f"{sidecar}: dtype {meta.get('dtype')!r} and value_count "
                            f"{meta.get('value_count')!r} are not '<f8' and {expected}")
-    flat = np.frombuffer(path.read_bytes(), dtype="<f8")
-    if flat.size != expected:
-        raise HarnessError(f"{path}: expected {expected} doubles for layer sizes "
-                           f"{sizes}, found {flat.size}")
-    return ParamSet.from_flat(flat, sizes)
+    size = path.stat().st_size  # checked first: np.frombuffer refuses a size not 8 * k
+    if size != 8 * expected:
+        raise HarnessError(f"{path}: expected {expected} doubles ({8 * expected} bytes) for "
+                           f"layer sizes {sizes}, found {size} bytes")
+    return ParamSet.from_flat(np.frombuffer(path.read_bytes(), dtype="<f8"), sizes)
 
 
 def write_run_outputs(out_dir: Union[str, Path], report: RunReport,
@@ -231,8 +225,7 @@ def write_run_outputs(out_dir: Union[str, Path], report: RunReport,
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {"metrics": out_dir / "metrics.jsonl", "report": out_dir / "report.json"}
     _atomic_write(paths["metrics"], "\n".join(metrics_lines(report.records)) + "\n")
-    _atomic_write(paths["report"],
-                  json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+    _atomic_write(paths["report"], json.dumps(asdict(report), sort_keys=True, indent=2) + "\n")
     if params is not None:
         paths["model"] = out_dir / "model.bin"
         save_params(params, paths["model"])

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import dropfresh
 from dropfresh import config
 from dropfresh.cli import main
-from dropfresh.harness import save_params
+from dropfresh.datasets import load_csv, load_idx
+from dropfresh.harness import export_features, save_params
 from dropfresh.model import ParamSet, init_params
 from dropfresh.scheduler import DarConfig, planned_cost
 
@@ -286,6 +287,51 @@ def test_export_features_rejects_bad_data_spec(capsys, tmp_path):
     assert payload["error"] in ("ConfigError", "HarnessError")
 
 
+@pytest.mark.parametrize("source", ["csv", "idx"])
+def test_export_features_data_specs_read_every_row_as_the_loaders_do(write_config, tmp_path,
+                                                                     source):
+    # csv:<file> and idx:<images>,<labels> export the rows and labels load_csv and load_idx
+    # read, and so does a config: file naming the same data with no validation split
+    csv, images, labels = tmp_path / "data.csv", tmp_path / "images", tmp_path / "labels"
+    csv.write_text("".join(f"{i % 3},{i}.25,{-i}.5\n" for i in range(9)))
+    images.write_bytes(idx_bytes(0x803, (9, 1, 2), np.arange(18) * 13))
+    labels.write_bytes(idx_bytes(0x801, (9,), np.arange(9) % 3))
+    if source == "csv":
+        dataset, spec, keys = load_csv(csv), f"csv:{csv}", {"data.csv": str(csv)}
+    else:
+        dataset, spec = load_idx(images, labels), f"idx:{images},{labels}"
+        keys = {"data.idx_images": str(images), "data.idx_labels": str(labels)}
+    params, model = init_params([2, 3, 3], 0), tmp_path / "model.bin"
+    save_params(params, model)
+    export_features(params, dataset, tmp_path / "expected.csv")
+    config_path = write_config({**FUZZ_BASE, "data.source": source, **keys})
+    for data in (spec, f"config:{config_path}"):
+        out = tmp_path / "out.csv"
+        assert main(["export-features", "--model", str(model), "--data", data,
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes(), data
+
+
+@pytest.mark.parametrize("spec", ["idx:", "idx:images", "idx:images,", "idx:,labels"])
+def test_export_features_rejects_an_idx_spec_without_two_files(tmp_path, capsys, spec):
+    save_params(init_params([2, 3, 2], 0), tmp_path / "model.bin")
+    assert main(["export-features", "--model", str(tmp_path / "model.bin"), "--data", spec,
+                 "--out", str(tmp_path / "out.csv")]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigError", "message": "idx data spec is idx:<image-file>,<label-file>"}
+
+
+def test_export_features_names_the_line_of_a_label_too_large_for_int64(tmp_path, capsys):
+    save_params(init_params([2, 3, 2], 0), tmp_path / "model.bin")
+    data = tmp_path / "data.csv"
+    data.write_text(f"0,1.0,2.0\n{'9' * 401},3.0,4.0\n")
+    assert main(["export-features", "--model", str(tmp_path / "model.bin"),
+                 "--data", f"csv:{data}", "--out", str(tmp_path / "out.csv")]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "DatasetError"
+    assert payload["message"] == f"{data}:2: label above {sys.maxsize - 1}"
+
+
 @pytest.mark.parametrize("change", [{"dtype": ">i4", "value_count": 999}, {"dtype": ">i4"},
                                     {"value_count": 999}, {"value_count": "39"},
                                     {"dtype": None}, {"value_count": None}])
@@ -421,6 +467,15 @@ def test_an_unallocatable_size_is_one_json_line(write_config, capsys, command, k
     assert payload["error"] == "MemoryError" and "Unable to allocate" in payload["message"]
 
 
+def test_a_memory_error_without_text_is_a_line_that_says_so(write_config, capsys):
+    # repeating synthetic.per_class sys.maxsize times fails before anything is allocated, and
+    # that MemoryError carries no text of its own
+    path = write_config({**TOY_VALUES, "synthetic.classes": str(sys.maxsize)})
+    assert main(["cost", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {"error": "MemoryError", "message": "out of memory"}
+
+
 @pytest.mark.parametrize("command", ["cost", "train"])
 @pytest.mark.parametrize("key", ["model.hidden", "synthetic.classes", "synthetic.per_class",
                                  "synthetic.dim"])
@@ -542,7 +597,9 @@ def assert_one_json_line_or_clean_exit(argv: list[str]) -> None:
         assert err == "", err
     else:
         assert code == 1 and out == "" and len(err.splitlines()) == 1, (code, out, err)
-        assert set(json.loads(err)) == {"error", "message"}, err
+        payload = json.loads(err)
+        assert set(payload) == {"error", "message"}, err
+        assert isinstance(payload["message"], str) and payload["message"], err
 
 
 @pytest.fixture(scope="module")

@@ -115,6 +115,37 @@ def test_validation_source_is_single():
         build_experiment_config(minimal_values(**{"data.val_fraction": "0.6"}))
 
 
+@pytest.mark.parametrize("overrides, match", [
+    ({"data.val_csv": "v.csv", "data.val_idx_images": "vi", "data.val_idx_labels": "vl"},
+     "not both"),
+    ({"data.val_csv": "v.csv", "data.val_idx_labels": "vl"}, "not both"),
+    ({"data.val_idx_images": "vi"}, "go together"),
+    ({"data.val_idx_labels": "vl"}, "go together"),
+])
+def test_validation_data_is_one_csv_file_or_one_idx_pair(overrides, match):
+    with pytest.raises(ConfigError, match=match):
+        build_experiment_config(minimal_values(**overrides))
+
+
+def file_values(**overrides):
+    """``minimal_values`` with a file source in place of the synthetic one."""
+    kept = {k: v for k, v in minimal_values().items() if not k.startswith("synthetic.")}
+    return {**kept, **overrides}
+
+
+@pytest.mark.parametrize("values, paths, val_paths", [
+    (minimal_values(), (), ()),
+    (minimal_values(**{"data.val_csv": "v.csv"}), (), ("v.csv",)),
+    (file_values(**{"data.source": "csv", "data.csv": "t.csv", "data.val_idx_images": "vi",
+                    "data.val_idx_labels": "vl"}), ("t.csv",), ("vi", "vl")),
+    (file_values(**{"data.source": "idx", "data.idx_images": "ti", "data.idx_labels": "tl",
+                    "data.val_fraction": "0.2"}), ("ti", "tl"), ()),
+])
+def test_data_paths_hold_the_source_files_in_key_order(values, paths, val_paths):
+    data = build_experiment_config(values).data
+    assert (data.paths, data.val_paths) == (paths, val_paths)
+
+
 def test_required_keys():
     values = minimal_values()
     del values["train.total_epochs"]

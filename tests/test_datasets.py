@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -164,6 +165,16 @@ def test_load_csv_errors_name_line(tmp_path):
     empty.write_text("\n\n")
     with pytest.raises(DatasetError, match="no data rows"):
         load_csv(empty)
+
+
+def test_load_csv_names_the_line_of_a_label_too_large_for_int64(tmp_path):
+    path = tmp_path / "big.csv"
+    for label in (sys.maxsize, "9" * 401):
+        path.write_text(f"0,1.0\n{label},2.0\n")
+        with pytest.raises(DatasetError, match=f"big.csv:2: label above {sys.maxsize - 1}$"):
+            load_csv(path)
+    path.write_text(f"0,1.0\n{sys.maxsize - 1},2.0\n")  # the largest label loads
+    assert load_csv(path).class_count == sys.maxsize
 
 
 def test_dataset_validation():

@@ -94,7 +94,7 @@ def test_run_report_structure_and_cost():
     assert report.realized_cost_ratio == used[-1] / (6 * 90)
     assert report.realized_cost_ratio == planned_cost(cfg.dar, 90)
     assert report.wall_clock_seconds > 0.0
-    assert report.config_echo["policy"] == "dar"
+    assert report.config["policy"] == "dar"
 
 
 def test_dar_active_counts_follow_planned_trace():
@@ -261,6 +261,15 @@ def test_load_params_errors(tmp_path):
         load_params(orphan)
 
 
+def test_load_params_names_a_model_file_that_is_not_whole_doubles(tmp_path):
+    path = tmp_path / "model.bin"
+    save_params(init_params([2, 2], seed=0), path)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(HarnessError, match=r"model\.bin: expected 6 doubles \(48 bytes\) for "
+                                           r"layer sizes \[2, 2\], found 47 bytes"):
+        load_params(path)
+
+
 def test_write_run_outputs(tmp_path):
     cfg = build_experiment_config(small_dar_values())
     report, params = run_experiment_with_params(cfg)
@@ -363,7 +372,7 @@ def same_bytes(a, b):
 def test_load_dataset_idx_equals_subsets_of_load_idx(tmp_path, layout):
     cfg = build_experiment_config(idx_values(tmp_path, layout))
     train_set, val_set = load_dataset(cfg.data, cfg.run_seed)
-    whole = load_idx(cfg.data.idx_images, cfg.data.idx_labels)
+    whole = load_idx(*cfg.data.paths)
     for split in (train_set, val_set, whole):  # uint8 pixels, no float64 matrix
         assert split is None or (split.pixels and split.stored.dtype == np.uint8)
     if layout == "val_fraction 0.2":
@@ -375,7 +384,7 @@ def test_load_dataset_idx_equals_subsets_of_load_idx(tmp_path, layout):
     if layout == "val_fraction 0":
         assert val_set is None
     if layout == "explicit validation":
-        assert same_bytes(val_set, load_idx(cfg.data.val_idx_images, cfg.data.val_idx_labels))
+        assert same_bytes(val_set, load_idx(*cfg.data.val_paths))
 
 
 def csv_values(tmp_path):
