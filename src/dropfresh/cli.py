@@ -57,11 +57,12 @@ def _fmt(value) -> str:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
+    if cfg.out_dir is not None:  # a path that cannot be a directory fails before the run
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     report, params = run_experiment_with_params(cfg)
     wrote = "-"
     if cfg.out_dir is not None:
-        paths = write_run_outputs(cfg.out_dir, report, params)
-        wrote = str(paths["metrics"].parent)
+        wrote = str(write_run_outputs(cfg.out_dir, report, params)["metrics"].parent)
     print(f"policy={cfg.policy} epochs={cfg.total_epochs} seed={cfg.run_seed} "
           f"realized_cost={report.realized_cost_ratio!r} "
           f"final_val_acc={_fmt(report.final_validation_accuracy)} out={wrote}")

@@ -25,10 +25,11 @@ POLICIES = ("dar", "uniform", "reweight")
 
 REQUIRED = object()  # the default of a key that every config sets
 
-# Each key's kind and default, then what a set value may be: a number, or each entry of a
-# list, finite and in [low, high] (high defaults to inf), or a text key one of its names.
-# "ints" and "floats" are comma-separated lists. An unset or empty key takes its default,
-# as does an "ints" value of "none" or with no entries. Sizes stop at sys.maxsize, as numpy axes do.
+# Each key's kind and default, then what a set value may be: a number, or each entry of a list,
+# in [low, high] (high defaults to inf), or a text key one of its names. Every float is finite,
+# and a range a dataclass checks is left to it. "ints"/"floats" are comma-separated lists; an
+# unset or empty key, or an "ints" value of "none" or no entries, is the default. Sizes stop at
+# sys.maxsize, as numpy axes do.
 _KEYS: dict[str, tuple] = {
     "data.source": ("text", REQUIRED, ("csv", "idx", "synthetic")), "data.csv": ("text", None),
     "data.idx_images": ("text", None), "data.idx_labels": ("text", None),
@@ -36,13 +37,13 @@ _KEYS: dict[str, tuple] = {
     "data.val_fraction": ("float", 0.0, 0.0, 0.5), "data.val_idx_images": ("text", None),
     "data.val_idx_labels": ("text", None),
     "data.augment": ("text", "none", ("none", "gaussian_noise", "horizontal_flip")),
-    "data.augment_sigma": ("float", 0.1, 0.0), "data.augment_prob": ("float", 0.5, 0.0, 1.0),
+    "data.augment_sigma": ("float", 0.1), "data.augment_prob": ("float", 0.5),
     "synthetic.classes": ("int", 2, 2, sys.maxsize), "synthetic.dim": ("int", 2, 1, sys.maxsize),
     "synthetic.per_class": ("ints", (100,), 1, sys.maxsize), "synthetic.seed": ("int", 0, 0),
-    "synthetic.std": ("floats", (1.0,), 0.0), "synthetic.mean_scale": ("float", 1.0, 0.0),
+    "synthetic.std": ("floats", (1.0,)), "synthetic.mean_scale": ("float", 1.0, 0.0),
     "model.hidden": ("ints", (), 1, sys.maxsize), "policy": ("text", "uniform", POLICIES),
     "train.total_epochs": ("int", REQUIRED), "train.base_lr": ("float", REQUIRED),
-    "train.momentum": ("float", 0.0), "train.weight_decay": ("float", 0.0, 0.0),
+    "train.momentum": ("float", 0.0), "train.weight_decay": ("float", 0.0),
     "train.lr_milestones": ("ints", ()), "train.lr_gamma": ("float", 0.1),
     "train.batch_size": ("int", 32, 1),
     "dar.warmup_epochs": ("int", 0), "dar.interval_epochs": ("int", 1),
@@ -58,6 +59,9 @@ _KINDS = {"int": (int, "an integer"), "float": (float, "a number"),
 _SOURCE_KEYS = {"csv": ("data.csv",), "idx": ("data.idx_images", "data.idx_labels"),
                 "synthetic": tuple(key for key in _KEYS if key.startswith("synthetic."))}
 _VAL_SOURCE_KEYS = (("data.val_csv",), ("data.val_idx_images", "data.val_idx_labels"))
+_FIELD_KEYS = {key.split(".")[1]: key for key in _KEYS if key.startswith(("train.", "dar."))} | {
+    "stds": "synthetic.std", "counts": "synthetic.per_class", "sigma": "data.augment_sigma",
+    "prob": "data.augment_prob"}
 
 
 class ConfigError(ValueError):
@@ -105,14 +109,13 @@ def _get(values: Mapping[str, str], key: str) -> Any:
         raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
     if kind == "ints" and not value:
         return default
-    if accepts:
-        low, high = (*accepts, math.inf)[:2]
-        # NaN fails every comparison; inf passes low <= v <= high only when high is inf
-        if not all(low <= v <= high and v < math.inf
-                   for v in (value if isinstance(value, tuple) else (value,))):
-            bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
-            finite = "finite and " if kind in ("float", "floats") else ""
-            raise ConfigError(f"{key} must be {finite}{bound}, got {value}")
+    entries = value if isinstance(value, tuple) else (value,)
+    low, high = (*accepts, math.inf)[:2] if accepts else (-math.inf, math.inf)
+    if kind in ("float", "floats") and not all(map(math.isfinite, entries)):
+        raise ConfigError(f"{key} must be finite, got {value}")
+    if not all(low <= v <= high for v in entries):
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ConfigError(f"{key} must be {bound}, got {value}")
     return value
 
 
@@ -151,12 +154,7 @@ def _synthetic_from(values: Mapping[str, str]) -> SyntheticSpec:
     dim = _get(values, "synthetic.dim")
     per_class = _get(values, "synthetic.per_class")
     counts = per_class * classes if len(per_class) == 1 else per_class
-    if len(counts) != classes:
-        raise ConfigError(f"synthetic.per_class: expected 1 or {classes} entries, "
-                          f"got {len(per_class)}")
     stds = _get(values, "synthetic.std")
-    if len(stds) not in (1, classes):
-        raise ConfigError(f"synthetic.std: expected 1 or {classes} entries, got {len(stds)}")
     scale = _get(values, "synthetic.mean_scale")
     seed = _get(values, "synthetic.seed")
     rng = np.random.default_rng([seed, _MEANS_STREAM])
@@ -170,11 +168,11 @@ def _augment_from(values: Mapping[str, str], source: str) -> AugmentPolicy:
     if name == "gaussian_noise":
         return GaussianNoise(sigma=_get(values, "data.augment_sigma"))
     if name == "horizontal_flip":
-        prob = _get(values, "data.augment_prob")
+        flip = HorizontalFlip(prob=_get(values, "data.augment_prob"))
         if source != "idx":  # only IDX data has an image shape to flip
             raise ConfigError(f"data.augment = horizontal_flip needs image data "
                               f"(data.source = idx), got data.source = {source}")
-        return HorizontalFlip(prob=prob)
+        return flip
     return NoAugment()
 
 
@@ -221,9 +219,9 @@ def build_experiment_config(values: Mapping[str, str]) -> ExperimentConfig:
     epochs = _get(values, "train.total_epochs")
     base_lr = _get(values, "train.base_lr")
     milestones = _get(values, "train.lr_milestones")
-    if any(not 0 < m <= epochs for m in milestones):
-        raise ConfigError(f"train.lr_milestones must lie in (0, {epochs}], got {milestones}")
-    try:  # the dataclasses' own ValueErrors are reported as ConfigErrors
+    if any(m > epochs for m in milestones):
+        raise ConfigError(f"train.lr_milestones must be <= {epochs}, got {milestones}")
+    try:
         train = TrainHyper(base_lr=base_lr, momentum=_get(values, "train.momentum"),
                            weight_decay=_get(values, "train.weight_decay"),
                            lr_milestones=milestones, lr_gamma=_get(values, "train.lr_gamma"))
@@ -238,20 +236,20 @@ def build_experiment_config(values: Mapping[str, str]) -> ExperimentConfig:
             active_epochs=active,
             refresh_epochs=_get(values, "dar.refresh_epochs"),
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    return ExperimentConfig(  # the arguments run in order: sizes are checked before any data
-        batch_size=_get(values, "train.batch_size"),
-        hidden_layers=_get(values, "model.hidden"),
-        data=_data_from(values),
-        train=train,
-        dar=dar,
-        policy=policy,
-        run_seed=_get(values, "run.seed"),
-        out_dir=_get(values, "run.out_dir"),
-        echo=dict(sorted(values.items())),
-    )
+        return ExperimentConfig(  # the arguments run in order: sizes are checked before any data
+            batch_size=_get(values, "train.batch_size"),
+            hidden_layers=_get(values, "model.hidden"),
+            data=_data_from(values),
+            train=train,
+            dar=dar,
+            policy=policy,
+            run_seed=_get(values, "run.seed"),
+            out_dir=_get(values, "run.out_dir"),
+            echo=dict(sorted(values.items())),
+        )
+    except ValueError as exc:  # a dataclass's message starts with its field: name the key
+        field_name, space, rest = str(exc).partition(" ")
+        raise ConfigError(_FIELD_KEYS.get(field_name, field_name) + space + rest) from None
 
 
 PRESET_NAMES = ("imagenet-default", "desk-default")

@@ -198,7 +198,7 @@ class SyntheticSpec:
             raise DatasetError(f"counts must all be >= 1, got {self.counts}")
         if len(self.means) != len(self.counts):
             raise DatasetError(
-                f"{len(self.means)} class means vs {len(self.counts)} class counts")
+                f"counts must have one entry per class mean ({len(self.means)}), got {self.counts}")
         if len(self.stds) not in (1, len(self.counts)):
             raise DatasetError(
                 f"stds must have 1 or {len(self.counts)} entries, got {len(self.stds)}")

@@ -97,7 +97,6 @@ class TrainHyper:
     lr_gamma: float = 0.1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lr_milestones", tuple(int(m) for m in self.lr_milestones))
         if self.base_lr <= 0.0:
             raise ValueError(f"base_lr must be > 0, got {self.base_lr}")
         if not 0.0 <= self.momentum < 1.0:
@@ -106,11 +105,12 @@ class TrainHyper:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.lr_gamma <= 0.0:
             raise ValueError(f"lr_gamma must be > 0, got {self.lr_gamma}")
-        for prev, cur in zip((0,) + self.lr_milestones, self.lr_milestones):
-            if cur <= prev:
-                raise ValueError(
-                    f"lr_milestones must be positive and strictly increasing, "
-                    f"got {self.lr_milestones}")
+        milestones = tuple(self.lr_milestones)
+        if not all(isinstance(m, (int, np.integer)) and m > prev
+                   for prev, m in zip((0,) + milestones, milestones)):
+            raise ValueError(f"lr_milestones must be positive, strictly increasing integers, "
+                             f"got {milestones}")
+        object.__setattr__(self, "lr_milestones", tuple(map(int, milestones)))
         try:  # every rate lr_at can return
             rates = [self.base_lr * self.lr_gamma ** k for k in range(len(self.lr_milestones) + 1)]
         except OverflowError:

@@ -46,7 +46,7 @@ class DarConfig:
     refresh_epochs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "refresh_epochs", tuple(int(e) for e in self.refresh_epochs))
+        refresh = tuple(self.refresh_epochs)
         if self.total_epochs < 1:
             raise ValueError(f"total_epochs must be >= 1, got {self.total_epochs}")
         if self.warmup_epochs < 0:
@@ -61,14 +61,15 @@ class DarConfig:
             raise ValueError(f"keep_rate must be in (0, 1], got {self.keep_rate}")
         if self.active_epochs is not None and self.active_epochs < 0:
             raise ValueError(f"active_epochs must be >= 0 or None, got {self.active_epochs}")
-        for prev, cur in zip((None,) + self.refresh_epochs, self.refresh_epochs):
-            if prev is not None and cur <= prev:
+        for prev, cur in zip((None,) + refresh, refresh):
+            if not isinstance(cur, (int, np.integer)) or prev is not None and cur <= prev:
                 raise ValueError(
-                    f"refresh_epochs must be strictly increasing, got {self.refresh_epochs}")
+                    f"refresh_epochs must be strictly increasing integers, got {refresh}")
             if not self.warmup_epochs < cur <= self.total_epochs:
                 raise ValueError(
-                    f"refresh epoch {cur} outside (warmup_epochs, total_epochs] = "
+                    f"refresh_epochs entry {cur} outside (warmup_epochs, total_epochs] = "
                     f"({self.warmup_epochs}, {self.total_epochs}]")
+        object.__setattr__(self, "refresh_epochs", tuple(map(int, refresh)))
 
     def keep_count(self, pool_size: int) -> int:
         """Examples a drop retains: ``ceil(keep_rate * size)``, never below one."""

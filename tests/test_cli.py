@@ -144,6 +144,22 @@ def test_train_writes_run_directory(write_config, tmp_path, capsys):
     assert record["epoch"] == 1
 
 
+@pytest.mark.parametrize("out", ["file", "file/run"])
+def test_train_refuses_an_out_path_that_cannot_be_a_directory_before_any_run(
+        write_config, tmp_path, capsys, monkeypatch, out):
+    def no_run(cfg):
+        raise AssertionError("trained before the output directory was made")
+    monkeypatch.setattr("dropfresh.cli.run_experiment_with_params", no_run)
+    (tmp_path / "file").write_text("")
+    path = write_config(run_values())
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1, captured.err
+    payload = json.loads(captured.err)
+    assert payload["error"] in ("FileExistsError", "NotADirectoryError"), payload
+    assert str(tmp_path / "file") in payload["message"], payload
+
+
 def test_train_rerun_is_byte_identical(write_config, tmp_path):
     path = write_config(run_values())
     first, second = tmp_path / "a", tmp_path / "b"

@@ -266,9 +266,21 @@ def test_negative_seeds_are_rejected_naming_the_key(key):
         build_experiment_config(minimal_values(**{key: "-1"}))
 
 
+# Values that ranges the dataclasses own reject; minimal_values has train.total_epochs = 6.
+DATACLASS_REJECTS = [
+    ("train.weight_decay", "-0.5"), ("synthetic.std", "-0.5"), ("data.augment_sigma", "-0.5"),
+    ("data.augment_prob", "-0.5"), ("data.augment_prob", "1.5"), ("train.base_lr", "0"),
+    ("train.momentum", "1"), ("train.lr_gamma", "0"), ("train.lr_milestones", "3,2"),
+    ("train.total_epochs", "0"), ("dar.keep_rate", "0"), ("dar.keep_rate", "1.5"),
+    ("dar.warmup_epochs", "6"), ("dar.interval_epochs", "0"), ("dar.active_epochs", "-1"),
+    ("dar.refresh_epochs", "7"),
+]
+
+
 def rejected_values():
-    """For each ``_KEYS`` entry, values it rejects: below low, above a finite high and NaN or
-    inf for a number; an unknown name for a text key with names; unset (None) if required."""
+    """For each ``_KEYS`` entry, values it rejects: below low and above a finite high; NaN
+    and inf for every number key; an unknown name for a text key with names; unset (None)
+    if required. Then ``DATACLASS_REJECTS``."""
     for key, (kind, default, *accepts) in config._KEYS.items():
         if default is config.REQUIRED:
             yield key, None
@@ -280,8 +292,9 @@ def rejected_values():
             yield key, str(low - step)
             if high < math.inf:
                 yield key, str(high + step)
-            if kind in ("float", "floats"):
-                yield from ((key, bad) for bad in ("nan", "inf"))
+        if kind in ("float", "floats"):
+            yield from ((key, bad) for bad in ("nan", "inf"))
+    yield from DATACLASS_REJECTS
 
 
 # data.augment_sigma and data.augment_prob are read only when their policy is chosen

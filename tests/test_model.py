@@ -279,6 +279,13 @@ def test_train_hyper_validation():
         TrainHyper(base_lr=0.1, lr_gamma=0.0)
 
 
+def test_train_hyper_refuses_a_fractional_milestone_rather_than_truncating_it():
+    with pytest.raises(ValueError, match=r"^lr_milestones .*integers, got \(2\.9,\)$"):
+        TrainHyper(0.1, lr_milestones=(2.9,))
+    hyper = TrainHyper(0.1, lr_milestones=[np.int64(2), 3])  # numpy integers are integers
+    assert hyper.lr_milestones == (2, 3) and all(type(m) is int for m in hyper.lr_milestones)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: GaussianNoise(math.nan), "sigma must be >= 0, got nan"),
     (lambda: SyntheticSpec(means=((0.0,), (1.0,)), stds=(1.0, math.nan), counts=(2, 2),

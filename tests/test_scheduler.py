@@ -60,6 +60,14 @@ def test_config_validation(kwargs, fragment):
         DarConfig(**kwargs)
 
 
+def test_config_refuses_a_fractional_refresh_epoch_rather_than_truncating_it():
+    # int(4.5) would refresh at epoch 4
+    with pytest.raises(ValueError, match=r"^refresh_epochs .*integers, got \(4\.5,\)$"):
+        DarConfig(total_epochs=8, warmup_epochs=2, keep_rate=0.5, refresh_epochs=(4.5,))
+    cfg = DarConfig(total_epochs=8, warmup_epochs=2, refresh_epochs=[np.int64(4), 6])
+    assert cfg.refresh_epochs == (4, 6) and all(type(e) is int for e in cfg.refresh_epochs)
+
+
 def test_keep_count():
     cfg = DarConfig(total_epochs=4, keep_rate=0.5)
     assert cfg.keep_count(8) == 4
