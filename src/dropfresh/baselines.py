@@ -16,7 +16,7 @@ WEIGHT_FLOOR = 1e-3
 _MEAN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Positive per-example weights with mean one (within 1e-12)."""
 

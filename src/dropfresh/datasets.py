@@ -285,7 +285,7 @@ def epoch_batches(active_ids: Sequence[int], batch_size: int, run_seed: int,
     return [order[lo:lo + batch_size] for lo in range(0, len(order), batch_size)]
 
 
-@dataclass
+@dataclass(eq=False)
 class Batch:
     ids: np.ndarray
     features: np.ndarray

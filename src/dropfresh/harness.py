@@ -240,7 +240,7 @@ class CompareRow:
     delta_accuracy: float | None
 
 
-_SHARED_FIELDS = ("data", "hidden_layers", "train", "batch_size", "run_seed")
+_SHARED_FIELDS = ("data", "hidden_layers", "train", "batch_size", "run_seed", "total_epochs")
 
 
 def compare(cfgs: Sequence[ExperimentConfig]) -> list[CompareRow]:
@@ -258,8 +258,6 @@ def compare(cfgs: Sequence[ExperimentConfig]) -> list[CompareRow]:
                 raise HarnessError(
                     f"config {i} differs from config 1 in {name}; compare runs must "
                     f"differ only in policy and drop/refresh settings")
-        if cfg.total_epochs != base.total_epochs:
-            raise HarnessError(f"config {i} differs from config 1 in total_epochs")
     labels = [cfg.policy for cfg in cfgs]
     for label in set(labels):
         if labels.count(label) > 1:

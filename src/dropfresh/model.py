@@ -26,7 +26,7 @@ def _layer_views(flat: np.ndarray, layer_sizes: Sequence[int]) -> tuple[list, li
     return weights, biases
 
 
-@dataclass
+@dataclass(eq=False)
 class ParamSet:
     """Per-layer weight matrices (fan_out, fan_in) and bias vectors (fan_out,), all views
     into one float64 vector ``flat`` laid out as ``model.bin`` is: W1 (row-major), b1, W2,
@@ -34,7 +34,7 @@ class ParamSet:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.biases):
@@ -158,7 +158,7 @@ def forward(params: ParamSet, features: np.ndarray) -> np.ndarray:
     return _forward_pass(params, _check_features(params, features))[-1]
 
 
-@dataclass
+@dataclass(eq=False)
 class BatchOutput:
     probabilities: np.ndarray
     per_example_loss: np.ndarray

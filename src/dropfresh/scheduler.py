@@ -47,6 +47,10 @@ class DarConfig:
 
     def __post_init__(self) -> None:
         refresh = tuple(self.refresh_epochs)
+        optional = () if self.active_epochs is None else ("active_epochs",)
+        for name in ("total_epochs", "warmup_epochs", "interval_epochs") + optional:
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.total_epochs < 1:
             raise ValueError(f"total_epochs must be >= 1, got {self.total_epochs}")
         if self.warmup_epochs < 0:
@@ -76,7 +80,7 @@ class DarConfig:
         return max(1, math.ceil(self.keep_rate * pool_size))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchedulerState:
     """Position of the schedule between epochs.
 
@@ -93,8 +97,8 @@ class SchedulerState:
     population: int
 
     def __post_init__(self) -> None:
-        if self.population < 1:
-            raise ValueError(f"population must be >= 1, got {self.population}")
+        if not isinstance(self.population, (int, np.integer)) or self.population < 1:
+            raise ValueError(f"population must be an integer >= 1, got {self.population}")
         ids = np.array(self.active_ids, dtype=np.int64)
         if ids.size == 0:
             raise ValueError("active_ids must not be empty")
@@ -114,16 +118,11 @@ class SchedulerState:
         return state
 
 
-class LossLedger:
-    """Per-example losses by id: the table :func:`select_hardest` reads.
-
-    ``losses`` is a float64 array indexed by example id, NaN where nothing
-    was recorded; it grows to the largest id recorded. Re-recording an id
-    overwrites its entry.
-    """
+class LossLedger(dict):
+    """The id -> loss ``dict`` :func:`select_hardest` reads, filled from a mapping or by
+    :meth:`record`, which checks every entry; re-recording an id overwrites its entry."""
 
     def __init__(self, entries: Mapping[int, float] | None = None) -> None:
-        self.losses = np.empty(0)
         if entries:
             self.record(list(entries), list(entries.values()))
 
@@ -133,22 +132,15 @@ class LossLedger:
         values = np.asarray(losses, dtype=np.float64).reshape(-1)
         if ids.shape != values.shape:
             raise ValueError(f"{ids.size} example ids but {values.size} losses")
-        if ids.size == 0:
-            return
         bad = ~np.isfinite(values) | (values < 0.0)
         if bad.any():
             at = int(bad.argmax())
             loss = float(values[at])
             kind = "non-finite" if not math.isfinite(loss) else "negative"
             raise ValueError(f"{kind} loss {loss!r} for example {ids[at]}")
-        if ids.min() < 0:
+        if (ids < 0).any():
             raise ValueError(f"negative example id {ids.min()}")
-        top = int(ids.max()) + 1
-        if top > self.losses.size:
-            grown = np.full(top, np.nan)
-            grown[:self.losses.size] = self.losses
-            self.losses = grown
-        self.losses[ids] = values
+        self.update(zip(ids.tolist(), values.tolist()))
 
 
 def init(config: DarConfig, population: int) -> SchedulerState:
@@ -172,12 +164,10 @@ def select_hardest(ledger: LossLedger, active_ids: Iterable[int],
     if not 0.0 < keep_rate <= 1.0:
         raise ValueError(f"keep_rate must be in (0, 1], got {keep_rate}")
     ids = np.fromiter(active_ids, dtype=np.int64)
-    losses = np.full(ids.size, np.nan)
-    inside = (ids >= 0) & (ids < ledger.losses.size)
-    losses[inside] = ledger.losses[ids[inside]]
-    missing = np.isnan(losses)
-    if missing.any():
-        raise ValueError(f"ledger has no entry for active example {ids[missing.argmax()]}")
+    try:
+        losses = np.array([ledger[i] for i in ids.tolist()], dtype=np.float64)
+    except KeyError as missing:
+        raise ValueError(f"ledger has no entry for active example {missing.args[0]}") from None
     if ids.size == 0:
         raise ValueError("active_ids must not be empty")
     return tuple(_hardest(ids, losses, max(1, math.ceil(keep_rate * ids.size))).tolist())
@@ -253,8 +243,8 @@ class TraceEntry:
 
 def trace(config: DarConfig, population: int) -> list[TraceEntry]:
     """Dry-run the schedule on its counters alone; no ledger, no model."""
-    if population < 1:
-        raise ValueError(f"population must be >= 1, got {population}")
+    if not isinstance(population, (int, np.integer)) or population < 1:
+        raise ValueError(f"population must be an integer >= 1, got {population}")
     cycle_start = last_drop = config.warmup_epochs
     size = population
     rows: list[TraceEntry] = []

@@ -177,6 +177,30 @@ def test_train_seed_flag_overrides_config(write_config, tmp_path):
     assert (a / "metrics.jsonl").read_bytes() != (b / "metrics.jsonl").read_bytes()
 
 
+def test_cost_rejects_an_idx_pair_of_no_images_with_one_json_line(write_config, tmp_path,
+                                                                  capsys):
+    images, labels = tmp_path / "images", tmp_path / "labels"
+    images.write_bytes(idx_bytes(0x803, (0, 3, 4), []))
+    labels.write_bytes(idx_bytes(0x801, (0,), []))
+    values = {"data.source": "idx", "data.idx_images": images, "data.idx_labels": labels,
+              "data.class_count": "3", "train.total_epochs": "8", "train.base_lr": "0.1"}
+    assert main(["cost", "--config", str(write_config(values))]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert json.loads(err[0]) == {"error": "DatasetError",
+                                  "message": f"{images}: empty dataset"}
+
+
+def test_set_without_an_equals_sign_is_one_json_line(write_config, capsys):
+    assert main(["cost", "--config", str(write_config(TOY_VALUES)), "--set", "foo"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert json.loads(err[0]) == {"error": "ConfigError",
+                                  "message": "--set expects KEY=VALUE, got 'foo'"}
+
+
 def test_missing_config_file_reports_machine_readable_error(capsys):
     assert main(["train", "--config", "/nonexistent/conf.txt"]) == 1
     err = capsys.readouterr().err.strip().splitlines()[-1]

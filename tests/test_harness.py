@@ -306,6 +306,14 @@ def test_compare_rejects_mismatched_runs():
         compare([uni])
 
 
+def test_compare_rejects_runs_of_different_length():
+    short = build_experiment_config(small_values(policy="uniform"))
+    long = build_experiment_config(small_values(policy="uniform", **{"train.total_epochs": "9"}))
+    assert long.total_epochs != short.total_epochs and long.train == short.train
+    with pytest.raises(HarnessError, match="^config 2 differs from config 1 in total_epochs; "):
+        compare([short, long])
+
+
 def test_compare_disambiguates_duplicate_labels():
     a = build_experiment_config(small_dar_values())
     b = build_experiment_config(small_dar_values(**{"dar.keep_rate": "0.8"}))

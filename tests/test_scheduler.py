@@ -43,6 +43,15 @@ def test_init_rejects_bad_population():
         init(TOY, 0)
 
 
+def test_state_refuses_a_fractional_population():
+    # unchecked, init(TOY, 10.5) builds a pool of 11 ids for a population of 10.5
+    with pytest.raises(ValueError, match=r"^population must be an integer >= 1, got 10\.5$"):
+        init(TOY, 10.5)
+    with pytest.raises(ValueError, match="^population must be an integer"):
+        SchedulerState(epoch=0, cycle_start=0, last_drop=0, active_ids=[0, 1], population=2.0)
+    assert init(TOY, np.int64(3)).active_ids.tolist() == [0, 1, 2]
+
+
 @pytest.mark.parametrize("kwargs, fragment", [
     (dict(total_epochs=0), "total_epochs"),
     (dict(total_epochs=5, warmup_epochs=5), "warmup_epochs"),
@@ -58,6 +67,19 @@ def test_init_rejects_bad_population():
 def test_config_validation(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):
         DarConfig(**kwargs)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("total_epochs", 8.5), ("warmup_epochs", 1.0), ("interval_epochs", 1.5),
+    ("active_epochs", 2.5),
+])
+def test_config_refuses_a_fractional_epoch_count(name, value):
+    # unchecked, total_epochs=8.5 fails only in trace's range() and interval_epochs=1.5 never drops
+    kwargs = dict(total_epochs=8, warmup_epochs=2, keep_rate=0.5)
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
+        DarConfig(**{**kwargs, name: value})
+    cfg = DarConfig(**{**kwargs, name: np.int64(int(value) + 1)})
+    assert len(trace(cfg, 10)) == cfg.total_epochs
 
 
 def test_config_refuses_a_fractional_refresh_epoch_rather_than_truncating_it():
@@ -109,8 +131,7 @@ def test_ledger_records_latest_value():
     ledger = LossLedger()
     ledger.record(3, 1.0)
     ledger.record(3, 0.25)
-    assert ledger.losses[3] == 0.25
-    assert np.flatnonzero(~np.isnan(ledger.losses)).tolist() == [3]
+    assert ledger == {3: 0.25}
 
 
 def test_ledger_rejects_bad_losses():
@@ -127,8 +148,7 @@ def test_ledger_batch_record_latest_value_wins():
     ledger = LossLedger()
     ledger.record(np.array([4, 1, 7]), np.array([0.5, 1.5, 2.5]))
     ledger.record(np.array([7, 2]), np.array([0.25, 3.0]))
-    assert ledger.losses[[1, 2, 4, 7]].tolist() == [1.5, 3.0, 0.5, 0.25]
-    assert np.flatnonzero(~np.isnan(ledger.losses)).tolist() == [1, 2, 4, 7]
+    assert ledger == {1: 1.5, 2: 3.0, 4: 0.5, 7: 0.25}
 
 
 @pytest.mark.parametrize("bad, fragment", [
@@ -139,7 +159,7 @@ def test_ledger_batch_record_names_the_bad_example(bad, fragment):
     ledger = LossLedger()
     with pytest.raises(ValueError, match=f"^{fragment} loss .* for example 12$"):
         ledger.record(np.array([3, 12, 5]), np.array([0.1, bad, 0.2]))
-    assert ledger.losses.size == 0
+    assert len(ledger) == 0
 
 
 def test_end_of_epoch_keep_during_warmup():
@@ -287,6 +307,13 @@ def test_trace_rejects_bad_population():
         trace(TOY, 0)
 
 
+def test_trace_refuses_a_fractional_population():
+    # unchecked, trace(TOY, 10.5) reports pools of 10.5 examples
+    with pytest.raises(ValueError, match=r"^population must be an integer >= 1, got 10\.5$"):
+        trace(TOY, 10.5)
+    assert trace(TOY, np.int64(10))[0].size == 10
+
+
 def test_trace_zero_window_never_drops():
     cfg = DarConfig(total_epochs=6, warmup_epochs=1, interval_epochs=1,
                     keep_rate=0.5, active_epochs=0)
@@ -386,7 +413,8 @@ def test_driven_run_preserves_membership_invariants(case, loss_seed):
         ledger = LossLedger({
             i: float((i * 2654435761 + old.epoch * loss_seed) % 97) / 7.0
             for i in old.active_ids.tolist()})
-        state, action = end_of_epoch(old, cfg, ledger.losses[old.active_ids])
+        losses = np.array([ledger[i] for i in old.active_ids.tolist()])
+        state, action = end_of_epoch(old, cfg, losses)
         ids = state.active_ids.tolist()
         if action is ActionKind.REFRESH:
             assert ids == full
