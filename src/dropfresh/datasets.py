@@ -192,6 +192,10 @@ class SyntheticSpec:
     stds: tuple[float, ...]
     counts: tuple[int, ...]
     seed: int
+    # the shape of the data it generates, known without generating it
+    n = property(lambda self: sum(self.counts))
+    dim = property(lambda self: len(self.means[0]))
+    class_count = property(lambda self: len(self.counts))
 
     def __post_init__(self) -> None:
         if not self.counts or any(c < 1 for c in self.counts):
@@ -222,7 +226,7 @@ def gen_gaussian(spec: SyntheticSpec) -> Dataset:
         with np.errstate(over="ignore", invalid="ignore"):  # Dataset rejects non-finite values
             blocks.append(means[cls] + stds[cls] * noise)
         labels.append(np.full(count, cls, dtype=np.int64))
-    return Dataset(np.concatenate(blocks), np.concatenate(labels), len(spec.counts))
+    return Dataset(np.concatenate(blocks), np.concatenate(labels), spec.class_count)
 
 
 @dataclass(frozen=True)

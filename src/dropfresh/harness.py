@@ -21,7 +21,7 @@ import numpy as np
 from . import datasets, model, scheduler
 from .baselines import reweight, uniform_policy
 from .config import DataConfig, ExperimentConfig
-from .datasets import Dataset, IdxPair, gen_gaussian, load_csv
+from .datasets import Dataset, IdxPair, SyntheticSpec, gen_gaussian, load_csv
 from .model import ParamSet, init_params, lr_at
 
 _SPLIT_STREAM = 1
@@ -41,10 +41,11 @@ def _open(paths: tuple[str, ...], class_count: int | None) -> Dataset | IdxPair:
     return IdxPair(*paths, 10 if class_count is None else class_count)
 
 
-def _plan(data: DataConfig, seed: int) -> tuple[Dataset | IdxPair, list, Dataset | IdxPair | None]:
+def _plan(data: DataConfig, seed: int) -> tuple[Dataset | IdxPair | SyntheticSpec, list,
+                                                 Dataset | IdxPair | None]:
     """Training source, its row sets (training ids, then validation ids from the split stream)
-    and the explicit validation source, if any; IDX pixels are not read here."""
-    base = _open(data.paths, data.class_count) if data.paths else gen_gaussian(data.synthetic)
+    and the explicit validation source, if any; no data is generated, nor IDX pixels read."""
+    base = _open(data.paths, data.class_count) if data.paths else data.synthetic
     if data.val_paths:
         val = _open(data.val_paths, base.class_count)
         if val.dim != base.dim:
@@ -61,7 +62,8 @@ def _plan(data: DataConfig, seed: int) -> tuple[Dataset | IdxPair, list, Dataset
 def load_dataset(data: DataConfig, run_seed: int) -> tuple[Dataset, Dataset | None]:
     """Training set plus optional validation set, re-indexed from zero."""
     base, row_sets, val = _plan(data, run_seed)
-    sets = base.take(*row_sets) + ([] if val is None else val.take(slice(None)))
+    sets = (base if data.paths else gen_gaussian(base)).take(*row_sets) + (
+        [] if val is None else val.take(slice(None)))
     return sets[0], sets[1] if len(sets) > 1 else None
 
 
@@ -113,7 +115,7 @@ def run_experiment_with_params(cfg: ExperimentConfig) -> tuple[RunReport, ParamS
     layers = [train_set.dim, *cfg.hidden_layers, train_set.class_count]
     params = init_params(layers, cfg.run_seed)
     velocity, grads = ParamSet.zeros_like(params), ParamSet.zeros_like(params)
-    state = scheduler.init(cfg.dar, train_set.n)
+    state = scheduler.init(train_set.n)
     weights = None  # reweight policy only
     records: list[EpochRecord] = []
     cumulative = 0
@@ -305,6 +307,6 @@ def export_features(params: ParamSet, dataset: Dataset, path: Union[str, Path]) 
 
 
 def training_population(cfg: ExperimentConfig) -> int:
-    """Size of the training split the schedule will see; no pixels of IDX data are read."""
+    """Size of the training split the schedule will see; synthetic rows are counted, not made."""
     base, row_sets, _ = _plan(cfg.data, cfg.run_seed)
     return base.n if isinstance(row_sets[0], slice) else row_sets[0].size

@@ -6,11 +6,11 @@ with the largest recorded losses (a *drop*), until the cycle's drop window
 closes. At each scheduled refresh epoch the pool is restored to the full
 dataset and a new cycle begins.
 
-The rules are one pure function of the schedule's counters, :func:`_decide`;
-losses only choose *which* examples survive a drop. The training loop owns a
-:class:`SchedulerState`, hands :func:`end_of_epoch` the epoch's losses in pool
-order, and applies what it returns. :func:`trace` and :func:`planned_cost` run
-the rules on the counters alone, with no losses.
+The rules are one pure function of the schedule's counters, :func:`_decide`, which only
+:func:`trace` runs: it plans each epoch's pool size and action from the config and population
+alone. Losses only choose *which* examples survive a drop. The training loop owns a
+:class:`SchedulerState` (epoch and pool), and :func:`end_of_epoch` applies the plan's action
+for that epoch, given the epoch's losses in pool order.
 """
 from __future__ import annotations
 
@@ -80,26 +80,27 @@ class DarConfig:
         return max(1, math.ceil(self.keep_rate * pool_size))
 
 
+def _int_ids(values) -> np.ndarray:
+    """``values`` as a new int64 array; an id not of an integer type (even ``2.0``) raises."""
+    given = np.asarray(values)
+    if given.size and given.dtype.kind not in "iu":
+        raise ValueError(f"example ids must be integers, got {given.ravel()[0]}")
+    return given.astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class SchedulerState:
-    """Position of the schedule between epochs.
-
-    ``cycle_start`` is the epoch the current cycle was anchored at (warm-up
-    end, or the latest refresh); ``last_drop`` is the most recent epoch a
-    drop was attempted, which paces the drop interval. ``active_ids`` is
-    stored as a strictly ascending, read-only int64 copy of what was passed.
-    """
+    """The last epoch run and its pool, ``active_ids``: a strictly ascending, read-only int64
+    copy of what was passed. The counters that pace drops belong to :func:`trace`."""
 
     epoch: int
-    cycle_start: int
-    last_drop: int
     active_ids: np.ndarray
     population: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.population, (int, np.integer)) or self.population < 1:
             raise ValueError(f"population must be an integer >= 1, got {self.population}")
-        ids = np.array(self.active_ids, dtype=np.int64)
+        ids = _int_ids(self.active_ids)
         if ids.size == 0:
             raise ValueError("active_ids must not be empty")
         outside = (ids < 0) | (ids >= self.population)
@@ -128,7 +129,7 @@ class LossLedger(dict):
 
     def record(self, example_ids, losses) -> None:
         """Record one loss per id: a scalar pair, or an id array and a loss array."""
-        ids = np.asarray(example_ids, dtype=np.int64).reshape(-1)
+        ids = _int_ids(example_ids).reshape(-1)
         values = np.asarray(losses, dtype=np.float64).reshape(-1)
         if ids.shape != values.shape:
             raise ValueError(f"{ids.size} example ids but {values.size} losses")
@@ -143,15 +144,9 @@ class LossLedger(dict):
         self.update(zip(ids.tolist(), values.tolist()))
 
 
-def init(config: DarConfig, population: int) -> SchedulerState:
-    """State before epoch 1: full pool, cycle anchored at the warm-up end."""
-    return SchedulerState(
-        epoch=0,
-        cycle_start=config.warmup_epochs,
-        last_drop=config.warmup_epochs,
-        active_ids=np.arange(population),
-        population=population,
-    )
+def init(population: int) -> SchedulerState:
+    """State before epoch 1: the full pool."""
+    return SchedulerState(epoch=0, active_ids=np.arange(population), population=population)
 
 
 def select_hardest(ledger: LossLedger, active_ids: Iterable[int],
@@ -163,7 +158,7 @@ def select_hardest(ledger: LossLedger, active_ids: Iterable[int],
     """
     if not 0.0 < keep_rate <= 1.0:
         raise ValueError(f"keep_rate must be in (0, 1], got {keep_rate}")
-    ids = np.fromiter(active_ids, dtype=np.int64)
+    ids = _int_ids(list(active_ids))
     try:
         losses = np.array([ledger[i] for i in ids.tolist()], dtype=np.float64)
     except KeyError as missing:
@@ -203,11 +198,10 @@ def _decide(config: DarConfig, epoch: int, cycle_start: int, last_drop: int,
 
 def end_of_epoch(state: SchedulerState, config: DarConfig,
                  losses: np.ndarray) -> tuple[SchedulerState, ActionKind]:
-    """Apply the end-of-epoch transition for ``state.epoch``.
+    """Apply :func:`trace`'s action for ``state.epoch``, whose pool must have the plan's size.
 
-    :func:`_decide` sets the action and the counters; a drop then keeps the
-    examples with the largest ``losses``, one finite loss >= 0 per active id,
-    in ``state.active_ids`` order.
+    A keep returns ``state`` itself, a refresh restores the full pool, and a drop keeps the
+    examples with the largest ``losses``: one finite loss >= 0 per active id, in pool order.
     """
     epoch = state.epoch
     if epoch < 1:
@@ -220,16 +214,14 @@ def end_of_epoch(state: SchedulerState, config: DarConfig,
         raise ValueError(f"{losses.size} losses for {active.size} active examples")
     if not ((losses >= 0.0) & (losses < math.inf)).all():  # NaN fails both
         raise ValueError("losses must be finite and >= 0")
-    kind, size, cycle_start, last_drop = _decide(
-        config, epoch, state.cycle_start, state.last_drop, active.size, state.population)
-    if kind is ActionKind.KEEP:  # the pool is unchanged, so it is neither copied nor re-checked
-        new_state = copy.copy(state)
-    else:
-        new_state = replace(state, active_ids=_hardest(active, losses, size)
-                            if kind is ActionKind.DROP else np.arange(state.population))
-    object.__setattr__(new_state, "cycle_start", cycle_start)
-    object.__setattr__(new_state, "last_drop", last_drop)
-    return new_state, kind
+    planned = trace(config, state.population)[epoch - 1]
+    if planned.size != active.size:
+        raise ValueError(f"epoch {epoch} pool of {active.size}, not the plan's {planned.size}")
+    if planned.action is ActionKind.KEEP:
+        return state, planned.action
+    return replace(state, active_ids=_hardest(active, losses, config.keep_count(active.size))
+                   if planned.action is ActionKind.DROP
+                   else np.arange(state.population)), planned.action
 
 
 @dataclass(frozen=True)
@@ -242,7 +234,8 @@ class TraceEntry:
 
 
 def trace(config: DarConfig, population: int) -> list[TraceEntry]:
-    """Dry-run the schedule on its counters alone; no ledger, no model."""
+    """The plan: each epoch's pool size and end-of-epoch action, from the counters alone
+    (no losses, no model). This is the one place :func:`_decide` runs."""
     if not isinstance(population, (int, np.integer)) or population < 1:
         raise ValueError(f"population must be an integer >= 1, got {population}")
     cycle_start = last_drop = config.warmup_epochs

@@ -9,8 +9,7 @@ from dropfresh.scheduler import ActionKind, SchedulerState
 
 
 def test_uniform_policy_restores_full_pool():
-    state = SchedulerState(epoch=4, cycle_start=2, last_drop=3,
-                           active_ids=(1, 5), population=8)
+    state = SchedulerState(epoch=4, active_ids=(1, 5), population=8)
     new_state, action = uniform_policy(state)
     assert action is ActionKind.KEEP
     assert new_state.active_ids.tolist() == list(range(8))
@@ -18,8 +17,7 @@ def test_uniform_policy_restores_full_pool():
 
 
 def test_uniform_policy_returns_a_full_pool_state_as_is():
-    state = SchedulerState(epoch=4, cycle_start=2, last_drop=3,
-                           active_ids=tuple(range(8)), population=8)
+    state = SchedulerState(epoch=4, active_ids=tuple(range(8)), population=8)
     new_state, action = uniform_policy(state)
     assert new_state is state
     assert action is ActionKind.KEEP

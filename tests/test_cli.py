@@ -13,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dropfresh
-from dropfresh import config
+from dropfresh import config, datasets, harness
 from dropfresh.cli import main
 from dropfresh.datasets import load_csv, load_idx
 from dropfresh.harness import export_features, save_params
 from dropfresh.model import ParamSet, init_params
-from dropfresh.scheduler import DarConfig, planned_cost
+from dropfresh.scheduler import DarConfig, planned_cost, trace, trace_csv_lines
 
 TOY_VALUES = {
     "data.source": "synthetic",
@@ -65,6 +65,39 @@ def test_cost_toy_schedule(write_config, capsys):
     assert lines[1:9] == ["1,8,keep", "2,8,keep", "3,8,drop", "4,4,drop",
                           "5,2,refresh", "6,8,drop", "7,4,drop", "8,2,drop"]
     assert lines[-1] == "0.6875"
+
+
+@pytest.mark.parametrize("epochs", [4, 10, 20])
+@pytest.mark.parametrize("preset", ["desk-default", "imagenet-default"])
+def test_cost_prints_the_rows_train_runs(write_config, capsys, tmp_path, preset, epochs):
+    path = write_config({**run_values(**{"train.total_epochs": str(epochs)}),
+                         "synthetic.classes": "2", "synthetic.dim": "2",
+                         "synthetic.per_class": "10", "policy": "dar"})
+    assert main(["cost", "--config", str(path), "--preset", preset]) == 0
+    planned = capsys.readouterr().out.splitlines()[1:-1]
+    assert main(["train", "--config", str(path), "--preset", preset,
+                 "--out", str(tmp_path / "run")]) == 0
+    records = map(json.loads, (tmp_path / "run" / "metrics.jsonl").read_text().splitlines())
+    assert planned == [f"{r['epoch']},{r['active_count']},{r['action']}" for r in records]
+    assert len(planned) == epochs
+
+
+def test_cost_counts_synthetic_rows_without_generating_them(write_config, capsys,
+                                                            monkeypatch):
+    values = config.apply_preset(run_values(**{"synthetic.per_class": "30,31,29",
+                                               "train.total_epochs": "12"}), "imagenet-default")
+    cfg = config.build_experiment_config(values)
+    population = harness.load_dataset(cfg.data, cfg.run_seed)[0].n  # generated and split
+    assert population == 90 - math.floor(0.2 * 90)
+    expected = [*trace_csv_lines(trace(cfg.dar, population)),
+                repr(planned_cost(cfg.dar, population))]
+
+    def refuse(spec):
+        raise AssertionError("cost generated the synthetic data")
+    monkeypatch.setattr(harness, "gen_gaussian", refuse)
+    monkeypatch.setattr(datasets, "gen_gaussian", refuse)
+    assert main(["cost", "--config", str(write_config(values))]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_cost_respects_preset_and_overrides(write_config, capsys):
@@ -552,11 +585,12 @@ def test_a_class_count_that_cannot_apply_is_a_config_error(write_config, tmp_pat
 
 
 def test_synthetic_overflow_is_one_json_line_without_a_warning(write_config):
+    # train generates the data (cost only counts its rows)
     path = write_config({**TOY_VALUES, "synthetic.per_class": "400", "synthetic.std": "1e308"})
     src = str(Path(dropfresh.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     env.pop("PYTHONWARNINGS", None)
-    done = subprocess.run([sys.executable, "-m", "dropfresh.cli", "cost", "--config",
+    done = subprocess.run([sys.executable, "-m", "dropfresh.cli", "train", "--config",
                            str(path)], capture_output=True, text=True, env=env)
     assert done.returncode == 1 and done.stdout == ""
     assert len(done.stderr.splitlines()) == 1, done.stderr

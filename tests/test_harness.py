@@ -401,10 +401,15 @@ def csv_values(tmp_path):
     return file_values(**{"data.source": "csv", "data.csv": str(path)})
 
 
-@pytest.mark.parametrize("source", ["synthetic", "csv", "idx", "idx, explicit validation"])
+@pytest.mark.parametrize("source", ["synthetic", "synthetic, explicit validation", "csv", "idx",
+                                    "idx, explicit validation"])
 def test_training_population_is_the_loaded_training_set_size(tmp_path, monkeypatch, source):
     if source == "synthetic":
         values = small_values()
+    elif source == "synthetic, explicit validation":
+        val_path = tmp_path / "val.csv"
+        save_csv(Dataset(np.ones((4, 4)), np.array([0, 1, 2, 0]), class_count=3), val_path)
+        values = small_values(**{"data.val_fraction": "0", "data.val_csv": str(val_path)})
     elif source == "csv":
         values = csv_values(tmp_path)
     else:
@@ -414,6 +419,8 @@ def test_training_population_is_the_loaded_training_set_size(tmp_path, monkeypat
     expected = load_dataset(cfg.data, cfg.run_seed)[0].n
     if source.startswith("idx"):  # counted from the headers: no pixel is read
         monkeypatch.setattr(datasets.IdxPair, "take", lambda *a: pytest.fail("pixels read"))
+    if source.startswith("synthetic"):  # counted from the spec: nothing is generated
+        monkeypatch.setattr(harness, "gen_gaussian", lambda *a: pytest.fail("data generated"))
     assert training_population(cfg) == expected
 
 

@@ -12,7 +12,7 @@ from dropfresh.model import (BatchOutput, ParamSet, TrainHyper, backward, forwar
 from dropfresh.model import loss_and_gradients
 from dropfresh.baselines import WeightVector
 from dropfresh.datasets import Batch, GaussianNoise, SyntheticSpec
-from dropfresh.scheduler import DarConfig, init
+from dropfresh.scheduler import init
 
 import oracles
 
@@ -419,7 +419,7 @@ def test_loss_and_gradients_writes_into_out(decay, weighted):
      lambda b: Batch(b.ids.copy(), b.features.copy(), b.labels.copy())),
     (lambda: softmax_xent(np.zeros((2, 3)), np.array([0, 1])),
      lambda o: BatchOutput(o.probabilities.copy(), o.per_example_loss.copy())),
-    (lambda: init(DarConfig(total_epochs=2), 4), lambda s: init(DarConfig(total_epochs=2), 4)),
+    (lambda: init(4), lambda s: init(4)),
     (lambda: WeightVector(np.ones(3)), lambda w: WeightVector(w.values.copy())),
 ], ids=["ParamSet", "Batch", "BatchOutput", "SchedulerState", "WeightVector"])
 def test_array_holders_compare_by_identity(make, twin):

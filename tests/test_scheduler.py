@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ TOY = DarConfig(total_epochs=8, warmup_epochs=2, interval_epochs=1,
 
 def drive(config, population, losses_for):
     """Run the state machine across all epochs, recording (size, action)."""
-    state = init(config, population)
+    state = init(population)
     rows = []
     for _ in range(config.total_epochs):
         state = state.next_epoch()
@@ -29,27 +30,70 @@ def drive(config, population, losses_for):
     return rows
 
 
+def reach(config, population, epoch):
+    """The state of a run that has trained ``epoch`` but not yet ended it, reached from
+    ``init`` with each example's loss equal to its id (a drop keeps the largest ids)."""
+    state = init(population).next_epoch()
+    while state.epoch < epoch:
+        state = end_of_epoch(state, config, state.active_ids * 1.0)[0].next_epoch()
+    return state
+
+
 def test_init_state():
-    state = init(TOY, 8)
+    state = init(8)
     assert state.epoch == 0
-    assert state.cycle_start == 2
-    assert state.last_drop == 2
     assert state.active_ids.tolist() == list(range(8))
     assert state.population == 8
 
 
+def test_state_has_only_the_epoch_and_the_pool():
+    assert [f.name for f in dataclasses.fields(SchedulerState)] == [
+        "epoch", "active_ids", "population"]
+
+
 def test_init_rejects_bad_population():
     with pytest.raises(ValueError, match="population"):
-        init(TOY, 0)
+        init(0)
 
 
 def test_state_refuses_a_fractional_population():
-    # unchecked, init(TOY, 10.5) builds a pool of 11 ids for a population of 10.5
+    # unchecked, init(10.5) builds a pool of 11 ids for a population of 10.5
     with pytest.raises(ValueError, match=r"^population must be an integer >= 1, got 10\.5$"):
-        init(TOY, 10.5)
+        init(10.5)
     with pytest.raises(ValueError, match="^population must be an integer"):
-        SchedulerState(epoch=0, cycle_start=0, last_drop=0, active_ids=[0, 1], population=2.0)
-    assert init(TOY, np.int64(3)).active_ids.tolist() == [0, 1, 2]
+        SchedulerState(epoch=0, active_ids=[0, 1], population=2.0)
+    assert init(np.int64(3)).active_ids.tolist() == [0, 1, 2]
+
+
+def test_state_refuses_fractional_ids_rather_than_truncating_them():
+    # unchecked, [0.5, 1.7] is stored as [0, 1]
+    with pytest.raises(ValueError, match=r"^example ids must be integers, got 0\.5$"):
+        SchedulerState(epoch=0, active_ids=[0.5, 1.7], population=3)
+    for dtype in (np.int8, np.uint16, np.int32, np.uint64):
+        state = SchedulerState(epoch=0, active_ids=np.array([0, 2], dtype=dtype), population=3)
+        assert state.active_ids.dtype == np.int64 and state.active_ids.tolist() == [0, 2]
+
+
+def test_select_hardest_refuses_fractional_ids_rather_than_truncating_them():
+    # unchecked, [0.5, 1.7] is read as ids 0 and 1 and (1,) comes back
+    with pytest.raises(ValueError, match=r"^example ids must be integers, got 0\.5$"):
+        select_hardest(LossLedger({0: 1.0, 1: 2.0}), [0.5, 1.7], 0.5)
+    ledger = LossLedger({0: 1.0, 1: 2.0})
+    assert select_hardest(ledger, np.array([0, 1], dtype=np.uint8), 0.5) == (1,)
+    assert select_hardest(ledger, iter([np.int16(0), 1]), 0.5) == (1,)
+
+
+def test_ledger_refuses_a_fractional_id_rather_than_truncating_it():
+    # unchecked, record([2.9], [1.0]) stores {2: 1.0}
+    ledger = LossLedger()
+    with pytest.raises(ValueError, match=r"^example ids must be integers, got 2\.9$"):
+        ledger.record([2.9], [1.0])
+    with pytest.raises(ValueError, match=r"^example ids must be integers, got 2\.0$"):
+        LossLedger({2.0: 1.0})
+    assert ledger == {}
+    ledger.record(np.array([3, 1], dtype=np.int32), [0.5, 1.5])
+    ledger.record(np.uint8(7), 2.5)
+    assert ledger == {1: 1.5, 3: 0.5, 7: 2.5}
 
 
 @pytest.mark.parametrize("kwargs, fragment", [
@@ -163,58 +207,70 @@ def test_ledger_batch_record_names_the_bad_example(bad, fragment):
 
 
 def test_end_of_epoch_keep_during_warmup():
-    state = init(TOY, 8).next_epoch()
+    state = init(8).next_epoch()
     new_state, action = end_of_epoch(state, TOY, np.arange(8.0))
     assert action is ActionKind.KEEP
-    assert new_state.active_ids.tolist() == state.active_ids.tolist()
-    assert new_state.cycle_start == 2 and new_state.last_drop == 2
+    assert new_state is state
 
 
 def test_end_of_epoch_drop_keeps_hardest():
-    state = SchedulerState(epoch=3, cycle_start=2, last_drop=2,
-                           active_ids=tuple(range(8)), population=8)
+    state = reach(TOY, 8, 3)
+    assert state.active_ids.tolist() == list(range(8))
     new_state, action = end_of_epoch(state, TOY, np.arange(8.0))
     assert action is ActionKind.DROP
     assert new_state.active_ids.tolist() == [4, 5, 6, 7]
-    assert new_state.last_drop == 3
-    assert new_state.cycle_start == 2
+    assert (new_state.epoch, new_state.population) == (3, 8)
 
 
 def test_end_of_epoch_refresh_supersedes_drop():
+    # epoch 4 is one interval after epoch 3's drop, inside an unbounded window
     cfg = DarConfig(total_epochs=8, warmup_epochs=2, interval_epochs=1,
                     keep_rate=0.5, refresh_epochs=(4,))
-    state = SchedulerState(epoch=4, cycle_start=2, last_drop=3,
-                           active_ids=(4, 5, 6, 7), population=8)
+    state = reach(cfg, 8, 4)
+    assert state.active_ids.tolist() == [4, 5, 6, 7]
     new_state, action = end_of_epoch(state, cfg, np.ones(4))
     assert action is ActionKind.REFRESH
     assert new_state.active_ids.tolist() == list(range(8))
-    assert new_state.cycle_start == 4
-    assert new_state.last_drop == 4
+    # the refresh starts a new cycle, whose drops resume one interval later
+    assert [row.action for row in trace(cfg, 8)][4:6] == [ActionKind.DROP, ActionKind.DROP]
 
 
 def test_end_of_epoch_closed_window_blocks_drop():
-    # cycle started at 2 with a 4-epoch window, so epoch 6 may not drop
-    state = SchedulerState(epoch=6, cycle_start=2, last_drop=5,
-                           active_ids=(0, 1), population=8)
-    new_state, action = end_of_epoch(state, TOY, np.array([1.0, 2.0]))
+    # the cycle starts at warm-up end (2) with a 4-epoch window: epochs 3-5 drop, 6 may not
+    closing = DarConfig(total_epochs=8, warmup_epochs=2, interval_epochs=1,
+                        keep_rate=0.5, active_epochs=4)
+    state = reach(closing, 16, 6)
+    assert state.active_ids.tolist() == [14, 15]
+    new_state, action = end_of_epoch(state, closing, np.array([1.0, 2.0]))
     assert action is ActionKind.KEEP
-    assert new_state.active_ids.tolist() == [0, 1]
-    assert new_state.last_drop == 5
+    assert new_state is state
+    unbounded = dataclasses.replace(closing, active_epochs=None)
+    new_state, action = end_of_epoch(reach(unbounded, 16, 6), unbounded, np.array([1.0, 2.0]))
+    assert action is ActionKind.DROP and new_state.active_ids.tolist() == [15]
 
 
 def test_noop_drop_reports_keep_but_advances_interval():
     cfg = DarConfig(total_epochs=6, warmup_epochs=1, interval_epochs=2, keep_rate=1.0)
-    state = SchedulerState(epoch=3, cycle_start=1, last_drop=1,
-                           active_ids=(0, 1, 2), population=3)
+    state = reach(cfg, 3, 3)
     new_state, action = end_of_epoch(state, cfg, np.array([0.1, 0.2, 0.3]))
     assert action is ActionKind.KEEP
-    assert new_state.active_ids.tolist() == [0, 1, 2]
-    assert new_state.last_drop == 3
+    assert new_state is state
+    # the rule behind trace's row: epoch 3 attempts a drop, so it becomes the last drop
+    assert _decide(cfg, 3, 1, 1, 3, 3) == (ActionKind.KEEP, 3, 1, 3)
+
+
+def test_end_of_epoch_rejects_a_pool_the_plan_does_not_have():
+    # TOY trains epoch 3 on all 4 examples; a hand-made pool of 3 is not the plan's
+    state = SchedulerState(epoch=3, active_ids=(0, 1, 2), population=4)
+    with pytest.raises(ValueError,
+                       match="^epoch 3 pool of 3, not the plan's 4$"):
+        end_of_epoch(state, TOY, np.ones(3))
+    with pytest.raises(ValueError, match="^2 losses for 3 active examples$"):
+        end_of_epoch(state, TOY, np.ones(2))  # the losses are checked first
 
 
 def test_end_of_epoch_rejects_anything_but_one_good_loss_per_active_id():
-    state = SchedulerState(epoch=3, cycle_start=2, last_drop=2,
-                           active_ids=(0, 1, 2), population=4)
+    state = reach(TOY, 3, 3)
     for losses, fragment in (([1.0, 1.0], "2 losses for 3 active examples"),
                              ([1.0, 1.0, 1.0, 1.0], "4 losses for 3 active examples"),
                              ([1.0, float("nan"), 1.0], "finite and >= 0"),
@@ -227,26 +283,24 @@ def test_end_of_epoch_rejects_anything_but_one_good_loss_per_active_id():
 def test_end_of_epoch_epoch_bounds():
     losses = np.zeros(8)
     with pytest.raises(ValueError, match="next_epoch"):
-        end_of_epoch(init(TOY, 8), TOY, losses)
-    late = SchedulerState(epoch=9, cycle_start=5, last_drop=5,
-                          active_ids=tuple(range(8)), population=8)
-    with pytest.raises(ValueError, match="total_epochs"):
+        end_of_epoch(init(8), TOY, losses)
+    late = reach(TOY, 8, 9)  # past TOY's last epoch
+    with pytest.raises(ValueError, match="^epoch 9 exceeds total_epochs 8$"):
         end_of_epoch(late, TOY, losses)
 
 
 def test_next_epoch_advances_only_the_epoch():
-    state = init(TOY, 8)
+    state = init(8)
     after = state.next_epoch()
     assert after.epoch == state.epoch + 1
     assert after.active_ids is state.active_ids
-    assert (after.cycle_start, after.last_drop, after.population) == \
-        (state.cycle_start, state.last_drop, state.population)
+    assert after.population == state.population
     assert state.epoch == 0
 
 
 def test_active_ids_are_a_frozen_copy():
     ids = np.array([1, 3, 5])
-    state = SchedulerState(epoch=0, cycle_start=0, last_drop=0, active_ids=ids, population=8)
+    state = SchedulerState(epoch=0, active_ids=ids, population=8)
     with pytest.raises(ValueError, match="read-only"):
         state.active_ids[0] = 0
     ids[0] = 0
@@ -255,11 +309,11 @@ def test_active_ids_are_a_frozen_copy():
 
 def test_full_pools_are_int64_aranges():
     cfg = DarConfig(total_epochs=4, warmup_epochs=1, keep_rate=0.5, refresh_epochs=(3,))
-    partial = SchedulerState(epoch=3, cycle_start=1, last_drop=2,
-                             active_ids=(2, 5), population=8)
-    refreshed, action = end_of_epoch(partial, cfg, np.array([1.0, 0.5]))
+    partial = reach(cfg, 8, 3)
+    assert partial.active_ids.tolist() == [4, 5, 6, 7]
+    refreshed, action = end_of_epoch(partial, cfg, np.array([1.0, 0.5, 2.0, 0.0]))
     assert action is ActionKind.REFRESH
-    for state in (init(cfg, 8), refreshed, uniform_policy(partial)[0]):
+    for state in (init(8), refreshed, uniform_policy(partial)[0]):
         assert state.active_ids.dtype == np.int64
         assert np.array_equal(state.active_ids, np.arange(8))
         assert not state.active_ids.flags.writeable
@@ -267,11 +321,9 @@ def test_full_pools_are_int64_aranges():
 
 def test_state_validation():
     with pytest.raises(ValueError, match="ascending"):
-        SchedulerState(epoch=0, cycle_start=0, last_drop=0,
-                       active_ids=(1, 0), population=2)
+        SchedulerState(epoch=0, active_ids=(1, 0), population=2)
     with pytest.raises(ValueError, match="outside"):
-        SchedulerState(epoch=0, cycle_start=0, last_drop=0,
-                       active_ids=(2,), population=2)
+        SchedulerState(epoch=0, active_ids=(2,), population=2)
 
 
 def test_toy_trace_matches_hand_computation():
@@ -406,7 +458,7 @@ def test_schedule_invariants(case):
 @given(schedule_configs(), st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_driven_run_preserves_membership_invariants(case, loss_seed):
     cfg, population = case
-    state = init(cfg, population)
+    state = init(population)
     full = list(range(population))
     for _ in range(cfg.total_epochs):
         old = state.next_epoch()
@@ -426,19 +478,17 @@ def test_driven_run_preserves_membership_invariants(case, loss_seed):
         assert len(state.active_ids) >= 1
 
 
-def test_keep_shares_the_pool_and_sets_the_counters():
+def test_each_epoch_applies_its_trace_row_and_a_keep_returns_its_state():
     # on two examples TOY keeps in warm-up (epochs 1-2) and where a drop
-    # would keep the one example left (epochs 4, 7, 8; these advance last_drop)
-    state = init(TOY, 2)
+    # would keep the one example left (epochs 4, 7, 8)
+    state = init(2)
     kinds = []
-    for _ in range(TOY.total_epochs):
+    for row in trace(TOY, 2):
         old = state.next_epoch()
         state, kind = end_of_epoch(old, TOY, old.active_ids % 3.0)
-        expected = _decide(TOY, old.epoch, old.cycle_start, old.last_drop,
-                           old.active_ids.size, old.population)
-        assert (kind, state.active_ids.size, state.cycle_start, state.last_drop) == expected
+        assert (old.epoch, old.active_ids.size, kind) == (row.epoch, row.size, row.action)
         assert state.epoch == old.epoch and state.population == old.population
-        assert (state.active_ids is old.active_ids) == (kind is ActionKind.KEEP)
+        assert (state is old) == (kind is ActionKind.KEEP)
         kinds.append(kind)
     assert [kind.value for kind in kinds] == ["keep", "keep", "drop", "keep", "refresh",
                                               "drop", "keep", "keep"]

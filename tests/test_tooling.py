@@ -103,3 +103,14 @@ def test_every_module_level_name_and_method_is_used_somewhere():
               for name in _defined_names(ast.parse(path.read_text()))
               if name not in used and not (name.startswith("__") and name.endswith("__"))]
     assert unused == []
+
+
+def test_readme_python_api_example_runs():
+    # the README's API example is prose a test would otherwise never read; run it as written
+    section = (ROOT / "README.md").read_text().split("\n## Python API\n", 1)[1].split("\n## ")[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, flags=re.M | re.S)
+    assert len(blocks) == 1, blocks
+    namespace = {}
+    exec(compile(blocks[0], "README.md (Python API)", "exec"), namespace)
+    assert namespace["action"].value == "keep"
+    assert namespace["state"].active_ids.tolist() == list(range(8))
