@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .scheduler import ActionKind, SchedulerState
+from .scheduler import ActionKind, SchedulerState, check_losses
 
 WEIGHT_FLOOR = 1e-3
 _MEAN_TOL = 1e-12
@@ -46,17 +46,14 @@ def uniform_policy(state: SchedulerState) -> tuple[SchedulerState, ActionKind]:
 def reweight(prev_epoch_losses: np.ndarray) -> WeightVector:
     """Loss-proportional weights for the next epoch.
 
-    Zero-loss examples are floored at ``WEIGHT_FLOOR`` (relative to the
-    mean) rather than silenced entirely; an all-zero epoch falls back to
-    uniform weights.
+    Zero-loss examples are floored at ``WEIGHT_FLOOR`` (relative to the mean), not silenced;
+    an all-zero epoch falls back to uniform weights. ``scheduler.check_losses`` checks the
+    losses with positions as ids; the harness's pool is the population, so a position is an id.
     """
     losses = np.asarray(prev_epoch_losses, dtype=np.float64)
     if losses.ndim != 1 or losses.size == 0:
         raise ValueError(f"losses must be a non-empty vector, got shape {losses.shape}")
-    if not np.isfinite(losses).all():
-        raise ValueError("non-finite loss values")
-    if (losses < 0).any():
-        raise ValueError("losses must be >= 0")
+    check_losses(range(losses.size), losses)
     if losses.mean() == 0.0:
         return WeightVector(np.ones_like(losses))
     # Rescaling by a power of two so the largest loss lies in [0.5, 1) is

@@ -72,9 +72,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_cost(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     population = training_population(cfg)
-    for line in scheduler.trace_csv_lines(scheduler.trace(cfg.dar, population)):
-        print(line)
-    print(repr(scheduler.planned_cost(cfg.dar, population)))
+    rows = scheduler.trace(cfg.dar, population)
+    print(*scheduler.trace_csv_lines(rows), sep="\n")
+    print(repr(scheduler._cost_ratio(rows, population)))
     return 0
 
 
@@ -105,7 +105,7 @@ def _dataset_from_spec(spec: str) -> Dataset:
         cfg = build_experiment_config(read_config_file(rest))
         return load_dataset(cfg.data, cfg.run_seed)[0]
     if kind in ("csv", "idx") and all(paths):
-        return load_dataset(DataConfig(kind, paths), 0)[0]
+        return load_dataset(DataConfig(paths=paths), 0)[0]
     raise ConfigError(
         f"--data must be csv:<file>, idx:<images>,<labels>, or config:<file>; got {spec!r}")
 

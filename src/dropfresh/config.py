@@ -123,7 +123,6 @@ def _get(values: Mapping[str, str], key: str) -> Any:
 class DataConfig:
     """``paths`` and ``val_paths`` each name a CSV file ``(csv,)``, an IDX pair ``(images,
     labels)`` or nothing: synthetic training data, a split or no validation set."""
-    source: str
     paths: tuple[str, ...] = ()
     synthetic: SyntheticSpec | None = None
     class_count: int | None = None
@@ -196,7 +195,6 @@ def _data_from(values: Mapping[str, str]) -> DataConfig:
         raise ConfigError("set data.val_csv or data.val_idx_images and data.val_idx_labels, "
                           "not both")
     cfg = DataConfig(  # a path left unset is None here and refused below
-        source=source,
         paths=tuple(values.get(k) for k in _SOURCE_KEYS[source] if source != "synthetic"),
         synthetic=_synthetic_from(values) if source == "synthetic" else None,
         class_count=class_count,

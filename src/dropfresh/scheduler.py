@@ -88,6 +88,15 @@ def _int_ids(values) -> np.ndarray:
     return given.astype(np.int64)
 
 
+def check_losses(ids, losses: np.ndarray) -> None:
+    """Raise ``ValueError`` for the first of ``losses`` not finite and >= 0, naming its id."""
+    bad = ~((losses >= 0.0) & (losses < math.inf))  # NaN fails both
+    if bad.any():
+        loss = float(losses[bad.argmax()])
+        kind = "non-finite" if not math.isfinite(loss) else "negative"
+        raise ValueError(f"{kind} loss {loss!r} for example {ids[bad.argmax()]}")
+
+
 @dataclass(frozen=True, eq=False)
 class SchedulerState:
     """The last epoch run and its pool, ``active_ids``: a strictly ascending, read-only int64
@@ -133,12 +142,7 @@ class LossLedger(dict):
         values = np.asarray(losses, dtype=np.float64).reshape(-1)
         if ids.shape != values.shape:
             raise ValueError(f"{ids.size} example ids but {values.size} losses")
-        bad = ~np.isfinite(values) | (values < 0.0)
-        if bad.any():
-            at = int(bad.argmax())
-            loss = float(values[at])
-            kind = "non-finite" if not math.isfinite(loss) else "negative"
-            raise ValueError(f"{kind} loss {loss!r} for example {ids[at]}")
+        check_losses(ids, values)
         if (ids < 0).any():
             raise ValueError(f"negative example id {ids.min()}")
         self.update(zip(ids.tolist(), values.tolist()))
@@ -151,13 +155,11 @@ def init(population: int) -> SchedulerState:
 
 def select_hardest(ledger: LossLedger, active_ids: Iterable[int],
                    keep_rate: float) -> tuple[int, ...]:
-    """Ids of the ``keep_rate`` share of ``active_ids`` with the largest losses.
-
-    Ties on loss are broken toward the smaller id, so the result is a
-    deterministic function of the ledger alone. Returned ids are ascending.
-    """
-    if not 0.0 < keep_rate <= 1.0:
-        raise ValueError(f"keep_rate must be in (0, 1], got {keep_rate}")
+    """Ids of the ``keep_rate`` share of ``active_ids`` with the largest losses, as a drop keeps
+    them (ties toward the smaller id, ascending). ``ledger[i] = x`` fills a ``LossLedger``
+    without ``record``, so the losses read are checked here: the first not finite and >= 0
+    raises :func:`check_losses`' ``ValueError``, naming its example."""
+    keep = DarConfig(total_epochs=1, keep_rate=keep_rate)  # checks keep_rate first
     ids = _int_ids(list(active_ids))
     try:
         losses = np.array([ledger[i] for i in ids.tolist()], dtype=np.float64)
@@ -165,7 +167,8 @@ def select_hardest(ledger: LossLedger, active_ids: Iterable[int],
         raise ValueError(f"ledger has no entry for active example {missing.args[0]}") from None
     if ids.size == 0:
         raise ValueError("active_ids must not be empty")
-    return tuple(_hardest(ids, losses, max(1, math.ceil(keep_rate * ids.size))).tolist())
+    check_losses(ids, losses)
+    return tuple(_hardest(ids, losses, keep.keep_count(ids.size)).tolist())
 
 
 def _hardest(ids: np.ndarray, losses: np.ndarray, count: int) -> np.ndarray:
@@ -200,8 +203,8 @@ def end_of_epoch(state: SchedulerState, config: DarConfig,
                  losses: np.ndarray) -> tuple[SchedulerState, ActionKind]:
     """Apply :func:`trace`'s action for ``state.epoch``, whose pool must have the plan's size.
 
-    A keep returns ``state`` itself, a refresh restores the full pool, and a drop keeps the
-    examples with the largest ``losses``: one finite loss >= 0 per active id, in pool order.
+    A keep returns ``state`` itself, a refresh the full pool and a drop the examples with the
+    largest ``losses``: one per active id in pool order, checked by :func:`check_losses`.
     """
     epoch = state.epoch
     if epoch < 1:
@@ -212,8 +215,7 @@ def end_of_epoch(state: SchedulerState, config: DarConfig,
     losses = np.asarray(losses, dtype=np.float64)
     if losses.shape != active.shape:
         raise ValueError(f"{losses.size} losses for {active.size} active examples")
-    if not ((losses >= 0.0) & (losses < math.inf)).all():  # NaN fails both
-        raise ValueError("losses must be finite and >= 0")
+    check_losses(active, losses)
     planned = trace(config, state.population)[epoch - 1]
     if planned.size != active.size:
         raise ValueError(f"epoch {epoch} pool of {active.size}, not the plan's {planned.size}")
@@ -251,8 +253,11 @@ def trace(config: DarConfig, population: int) -> list[TraceEntry]:
 
 def planned_cost(config: DarConfig, population: int) -> float:
     """Examples the schedule will touch, as a fraction of full-data training."""
-    rows = trace(config, population)
-    return sum(row.size for row in rows) / (config.total_epochs * population)
+    return _cost_ratio(trace(config, population), population)
+
+
+def _cost_ratio(rows: list[TraceEntry], population: int) -> float:
+    return sum(row.size for row in rows) / (len(rows) * population)
 
 
 def trace_csv_lines(rows: Iterable[TraceEntry]) -> Iterator[str]:

@@ -58,9 +58,9 @@ def test_reweight_floor_applies_relative_to_mean():
 
 
 def test_reweight_validation():
-    with pytest.raises(ValueError, match=">= 0"):
+    with pytest.raises(ValueError, match="^negative loss -0.5 for example 1$"):
         reweight(np.array([1.0, -0.5]))
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="^non-finite loss inf for example 1$"):
         reweight(np.array([1.0, np.inf]))
     with pytest.raises(ValueError, match="non-empty"):
         reweight(np.array([]))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dropfresh
-from dropfresh import config, datasets, harness
+from dropfresh import config, datasets, harness, scheduler
 from dropfresh.cli import main
 from dropfresh.datasets import load_csv, load_idx
 from dropfresh.harness import export_features, save_params
@@ -98,6 +98,23 @@ def test_cost_counts_synthetic_rows_without_generating_them(write_config, capsys
     monkeypatch.setattr(datasets, "gen_gaussian", refuse)
     assert main(["cost", "--config", str(write_config(values))]) == 0
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_cost_plans_the_schedule_once(write_config, capsys, monkeypatch):
+    values = config.apply_preset(run_values(**{"train.total_epochs": "12"}), "imagenet-default")
+    cfg = config.build_experiment_config(values)
+    population = harness.training_population(cfg)
+    expected = [*trace_csv_lines(trace(cfg.dar, population)),
+                repr(planned_cost(cfg.dar, population))]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return trace(*args)
+    monkeypatch.setattr(scheduler, "trace", counted)
+    assert main(["cost", "--config", str(write_config(values))]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
+    assert len(calls) == 1
 
 
 def test_cost_respects_preset_and_overrides(write_config, capsys):

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropfresh.baselines import uniform_policy
+from dropfresh.baselines import reweight, uniform_policy
 from dropfresh.scheduler import (ActionKind, DarConfig, LossLedger, SchedulerState, _decide,
                                  end_of_epoch, init, planned_cost, select_hardest,
                                  trace, trace_csv_lines)
 
-from oracles import simulate_schedule
+from oracles import brute_force_hardest, simulate_schedule
 
 TOY = DarConfig(total_epochs=8, warmup_epochs=2, interval_epochs=1,
                 keep_rate=0.5, active_epochs=4, refresh_epochs=(5,))
@@ -171,6 +171,68 @@ def test_select_hardest_keep_rate_bounds():
             select_hardest(ledger, (0,), bad)
 
 
+BAD_LOSSES = [(float("nan"), "non-finite"), (float("inf"), "non-finite"),
+              (float("-inf"), "non-finite"), (-0.5, "negative")]
+
+
+@pytest.mark.parametrize("store", ["setitem", "update"])
+@pytest.mark.parametrize("bad, kind", BAD_LOSSES)
+def test_select_hardest_checks_the_losses_it_reads(bad, kind, store):
+    # a LossLedger is a dict: both stores skip record, so only the read can refuse the loss
+    ledger = LossLedger({0: 1.0, 1: 2.0, 2: 3.0, 3: 0.5})
+    if store == "setitem":
+        ledger[2] = bad
+    else:
+        ledger.update({2: bad})
+    with pytest.raises(ValueError, match=f"^{kind} loss {bad!r} for example 2$"):
+        select_hardest(ledger, (0, 1, 2, 3), 0.5)
+
+
+def _record(losses):
+    LossLedger().record(np.arange(losses.size), losses)
+
+
+def _select_hardest(losses):
+    ledger = LossLedger()
+    ledger.update(enumerate(losses.tolist()))
+    select_hardest(ledger, range(losses.size), 0.5)
+
+
+def _end_of_epoch(losses):
+    state = SchedulerState(epoch=1, active_ids=np.arange(losses.size), population=losses.size)
+    end_of_epoch(state, DarConfig(total_epochs=1, keep_rate=0.5), losses)
+
+
+@pytest.mark.parametrize("entry", [_record, _select_hardest, _end_of_epoch, reweight])
+@pytest.mark.parametrize("bad, kind", BAD_LOSSES)
+def test_every_entry_point_refuses_a_bad_loss_with_one_message(entry, bad, kind):
+    with pytest.raises(ValueError, match=f"^{kind} loss {bad!r} for example 1$"):
+        entry(np.array([0.5, bad, -1.0, 2.0]))  # the first bad loss is named
+
+
+def test_end_of_epoch_names_a_bad_loss_by_example_id_not_position():
+    state = reach(TOY, 8, 4)  # epoch 3 dropped to ids 4..7
+    with pytest.raises(ValueError, match="^negative loss -1.0 for example 5$"):
+        end_of_epoch(state, TOY, np.array([1.0, -1.0, 1.0, 1.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=60).flatmap(
+           lambda n: st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n)),
+       st.integers(min_value=1, max_value=100))
+def test_a_drop_keeps_what_select_hardest_and_brute_force_keep(eighths, keep_cents):
+    # one drop rule: end_of_epoch's drop, select_hardest and the exhaustive oracle agree;
+    # losses in eighths from a small range tie often and add exactly
+    rate, ids = keep_cents / 100.0, list(range(len(eighths)))
+    losses = {i: e / 8.0 for i, e in zip(ids, eighths)}
+    state = SchedulerState(epoch=1, active_ids=ids, population=len(ids))
+    kept = tuple(end_of_epoch(state, DarConfig(total_epochs=1, keep_rate=rate),
+                              np.array(list(losses.values())))[0].active_ids.tolist())
+    assert kept == select_hardest(LossLedger(losses), ids, rate)
+    if math.comb(len(ids), len(kept)) <= 5000:  # the oracle tries every subset
+        assert kept == brute_force_hardest(losses, rate)
+
+
 def test_ledger_records_latest_value():
     ledger = LossLedger()
     ledger.record(3, 1.0)
@@ -273,9 +335,9 @@ def test_end_of_epoch_rejects_anything_but_one_good_loss_per_active_id():
     state = reach(TOY, 3, 3)
     for losses, fragment in (([1.0, 1.0], "2 losses for 3 active examples"),
                              ([1.0, 1.0, 1.0, 1.0], "4 losses for 3 active examples"),
-                             ([1.0, float("nan"), 1.0], "finite and >= 0"),
-                             ([1.0, -0.5, 1.0], "finite and >= 0"),
-                             ([1.0, 1.0, float("inf")], "finite and >= 0")):
+                             ([1.0, float("nan"), 1.0], "^non-finite loss nan for example 1$"),
+                             ([1.0, -0.5, 1.0], "^negative loss -0.5 for example 1$"),
+                             ([1.0, 1.0, float("inf")], "^non-finite loss inf for example 2$")):
         with pytest.raises(ValueError, match=fragment):
             end_of_epoch(state, TOY, np.array(losses))
 
