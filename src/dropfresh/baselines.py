@@ -1,8 +1,8 @@
 """Reference policies the scheduler is compared against.
 
-``uniform_policy`` is plain full-data training. ``reweight`` keeps every
-example but scales its contribution to the next epoch's objective by its
-previous loss (clamped away from zero, renormalized to mean one).
+``reweight`` keeps every example but scales its contribution to the next epoch's objective by
+its previous loss (clamped away from zero, renormalized to mean one). A ``uniform`` or
+``reweight`` run trains the keep-everything schedule through ``scheduler.end_of_epoch``.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ class WeightVector:
 
 
 def uniform_policy(state: SchedulerState) -> tuple[SchedulerState, ActionKind]:
-    """Keep the full pool every epoch; a state already holding it is returned as is."""
+    """The full pool (a full state as is); no run calls it, but ``perfbench/tracer.py`` times it."""
     if state.active_ids.size < state.population:
         state = replace(state, active_ids=np.arange(state.population))
     return state, ActionKind.KEEP

@@ -143,6 +143,10 @@ class ExperimentConfig:
     out_dir: str | None = None
     echo: Mapping[str, str] = field(default_factory=dict, compare=False)
 
+    def __post_init__(self) -> None:  # ``dar`` is the schedule the run trains, for any policy
+        if self.policy != "dar":
+            object.__setattr__(self, "dar", DarConfig(total_epochs=self.dar.total_epochs))
+
     @property
     def total_epochs(self) -> int:
         return self.dar.total_epochs

@@ -2,8 +2,8 @@
 
 Given one :class:`~dropfresh.config.ExperimentConfig`, a run loads (or
 generates) its dataset, splits off validation data, trains the classifier
-epoch by epoch, and lets the configured policy rewrite the active example
-pool between epochs. Metrics are written as one JSON line per epoch;
+epoch by epoch, and applies the config's schedule (``cfg.dar``) to the active
+example pool between epochs. Metrics are written as one JSON line per epoch;
 repeating a run with the same config yields byte-identical metrics.
 """
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from . import datasets, model, scheduler
-from .baselines import reweight, uniform_policy
+from .baselines import reweight
 from .config import DataConfig, ExperimentConfig
 from .datasets import Dataset, IdxPair, SyntheticSpec, gen_gaussian, load_csv
 from .model import ParamSet, init_params, lr_at
@@ -151,10 +151,7 @@ def run_experiment_with_params(cfg: ExperimentConfig) -> tuple[RunReport, ParamS
 
         if cfg.policy == "reweight":
             weights = reweight(losses)  # the pool is the whole population: id order
-        if cfg.policy == "dar":
-            state, action = scheduler.end_of_epoch(state, cfg.dar, losses)
-        else:
-            state, action = uniform_policy(state)
+        state, action = scheduler.end_of_epoch(state, cfg.dar, losses)
 
         records.append(EpochRecord(
             epoch=epoch, active_count=active_count, mean_train_loss=mean_loss,

@@ -107,8 +107,9 @@ class SchedulerState:
     population: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.population, (int, np.integer)) or self.population < 1:
-            raise ValueError(f"population must be an integer >= 1, got {self.population}")
+        for name, low in (("epoch", 0), ("population", 1)):
+            if not isinstance(value := getattr(self, name), (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value}")
         ids = _int_ids(self.active_ids)
         if ids.size == 0:
             raise ValueError("active_ids must not be empty")
@@ -155,10 +156,10 @@ def init(population: int) -> SchedulerState:
 
 def select_hardest(ledger: LossLedger, active_ids: Iterable[int],
                    keep_rate: float) -> tuple[int, ...]:
-    """Ids of the ``keep_rate`` share of ``active_ids`` with the largest losses, as a drop keeps
-    them (ties toward the smaller id, ascending). ``ledger[i] = x`` fills a ``LossLedger``
-    without ``record``, so the losses read are checked here: the first not finite and >= 0
-    raises :func:`check_losses`' ``ValueError``, naming its example."""
+    """Ids of the ``keep_rate`` share of ``active_ids`` (each id once) with the largest losses,
+    as a drop keeps them (ties toward the smaller id, ascending). ``ledger[i] = x`` fills a
+    ``LossLedger`` without ``record``, so the losses read are checked here: the first not
+    finite and >= 0 raises :func:`check_losses`' ``ValueError``, naming its example."""
     keep = DarConfig(total_epochs=1, keep_rate=keep_rate)  # checks keep_rate first
     ids = _int_ids(list(active_ids))
     try:
@@ -167,6 +168,9 @@ def select_hardest(ledger: LossLedger, active_ids: Iterable[int],
         raise ValueError(f"ledger has no entry for active example {missing.args[0]}") from None
     if ids.size == 0:
         raise ValueError("active_ids must not be empty")
+    unique, counts = np.unique(ids, return_counts=True)
+    if (counts > 1).any():
+        raise ValueError(f"active id {unique[(counts > 1).argmax()]} is repeated")
     check_losses(ids, losses)
     return tuple(_hardest(ids, losses, keep.keep_count(ids.size)).tolist())
 

@@ -67,25 +67,32 @@ def test_cost_toy_schedule(write_config, capsys):
     assert lines[-1] == "0.6875"
 
 
-@pytest.mark.parametrize("epochs", [4, 10, 20])
-@pytest.mark.parametrize("preset", ["desk-default", "imagenet-default"])
-def test_cost_prints_the_rows_train_runs(write_config, capsys, tmp_path, preset, epochs):
+@pytest.mark.parametrize("preset,epochs,policy", [  # ids name the policy unless it is dar
+    pytest.param(preset, epochs, policy,
+                 id=f"{preset}-{epochs}" + ("" if policy == "dar" else f"-{policy}"))
+    for policy in ("dar", "uniform", "reweight") for preset in ("desk-default", "imagenet-default")
+    for epochs in (4, 10, 20)])
+def test_cost_prints_the_rows_train_runs(write_config, capsys, tmp_path, preset, epochs,
+                                         policy):
     path = write_config({**run_values(**{"train.total_epochs": str(epochs)}),
                          "synthetic.classes": "2", "synthetic.dim": "2",
-                         "synthetic.per_class": "10", "policy": "dar"})
+                         "synthetic.per_class": "10", "policy": policy})
     assert main(["cost", "--config", str(path), "--preset", preset]) == 0
-    planned = capsys.readouterr().out.splitlines()[1:-1]
+    *planned, ratio = capsys.readouterr().out.splitlines()[1:]
     assert main(["train", "--config", str(path), "--preset", preset,
                  "--out", str(tmp_path / "run")]) == 0
     records = map(json.loads, (tmp_path / "run" / "metrics.jsonl").read_text().splitlines())
     assert planned == [f"{r['epoch']},{r['active_count']},{r['action']}" for r in records]
     assert len(planned) == epochs
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert ratio == repr(report["realized_cost_ratio"])
 
 
 def test_cost_counts_synthetic_rows_without_generating_them(write_config, capsys,
                                                             monkeypatch):
     values = config.apply_preset(run_values(**{"synthetic.per_class": "30,31,29",
-                                               "train.total_epochs": "12"}), "imagenet-default")
+                                               "train.total_epochs": "12", "policy": "dar"}),
+                                 "imagenet-default")
     cfg = config.build_experiment_config(values)
     population = harness.load_dataset(cfg.data, cfg.run_seed)[0].n  # generated and split
     assert population == 90 - math.floor(0.2 * 90)
@@ -101,7 +108,8 @@ def test_cost_counts_synthetic_rows_without_generating_them(write_config, capsys
 
 
 def test_cost_plans_the_schedule_once(write_config, capsys, monkeypatch):
-    values = config.apply_preset(run_values(**{"train.total_epochs": "12"}), "imagenet-default")
+    values = config.apply_preset(run_values(**{"train.total_epochs": "12", "policy": "dar"}),
+                                 "imagenet-default")
     cfg = config.build_experiment_config(values)
     population = harness.training_population(cfg)
     expected = [*trace_csv_lines(trace(cfg.dar, population)),
@@ -118,7 +126,7 @@ def test_cost_plans_the_schedule_once(write_config, capsys, monkeypatch):
 
 
 def test_cost_respects_preset_and_overrides(write_config, capsys):
-    path = write_config(run_values(**{"train.total_epochs": "20"}))
+    path = write_config(run_values(**{"train.total_epochs": "20", "policy": "dar"}))
     assert main(["cost", "--config", str(path), "--preset", "desk-default",
                  "--set", "dar.keep_rate=0.5"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

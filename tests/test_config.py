@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 from dropfresh import config
-from dropfresh.config import (ConfigError, apply_preset, build_experiment_config,
-                              parse_config_text, read_config_file)
+from dropfresh.config import (ConfigError, ExperimentConfig, apply_preset,
+                              build_experiment_config, parse_config_text, read_config_file)
 from dropfresh.datasets import GaussianNoise, NoAugment
+from dropfresh.scheduler import DarConfig
 
 
 def minimal_values(**overrides):
@@ -163,10 +164,26 @@ def test_milestones_must_fit_run():
 
 
 def test_active_epochs_sentinel():
-    cfg = build_experiment_config(minimal_values(**{"dar.active_epochs": "unbounded"}))
+    cfg = build_experiment_config(minimal_values(policy="dar",
+                                                 **{"dar.active_epochs": "unbounded"}))
     assert cfg.dar.active_epochs is None
-    cfg = build_experiment_config(minimal_values(**{"dar.active_epochs": "3"}))
+    cfg = build_experiment_config(minimal_values(policy="dar", **{"dar.active_epochs": "3"}))
     assert cfg.dar.active_epochs == 3
+
+
+@pytest.mark.parametrize("policy", ["uniform", "reweight"])
+def test_a_policy_other_than_dar_trains_the_keep_everything_schedule(policy):
+    # cost, train and compare all read cfg.dar, so it is the schedule the run trains
+    schedule = {"dar.warmup_epochs": "1", "dar.interval_epochs": "2", "dar.keep_rate": "0.5",
+                "dar.active_epochs": "3", "dar.refresh_epochs": "4"}
+    cfg = build_experiment_config(minimal_values(policy=policy, **schedule))
+    assert cfg.dar == DarConfig(total_epochs=6)
+    with pytest.raises(ConfigError, match=r"^dar\.keep_rate must be in \(0, 1\]"):
+        build_experiment_config(minimal_values(policy=policy, **{"dar.keep_rate": "1.5"}))
+    built = ExperimentConfig(data=cfg.data, hidden_layers=(), train=cfg.train,
+                             dar=DarConfig(total_epochs=6, keep_rate=0.5), policy=policy,
+                             batch_size=32, run_seed=0)
+    assert built.dar == DarConfig(total_epochs=6)
 
 
 def test_policy_name_checked():
@@ -197,7 +214,7 @@ def test_synthetic_spec_is_reproducible():
 
 
 def test_preset_imagenet_default():
-    values = apply_preset(minimal_values(**{"train.total_epochs": "120"}),
+    values = apply_preset(minimal_values(policy="dar", **{"train.total_epochs": "120"}),
                           "imagenet-default")
     cfg = build_experiment_config(values)
     assert cfg.dar.warmup_epochs == 10
@@ -209,7 +226,8 @@ def test_preset_imagenet_default():
 
 
 def test_preset_desk_default():
-    values = apply_preset(minimal_values(**{"train.total_epochs": "20"}), "desk-default")
+    values = apply_preset(minimal_values(policy="dar", **{"train.total_epochs": "20"}),
+                          "desk-default")
     cfg = build_experiment_config(values)
     assert cfg.dar.warmup_epochs == 4
     assert cfg.dar.keep_rate == 0.7
@@ -219,7 +237,8 @@ def test_preset_desk_default():
 
 
 def test_preset_drops_marks_inside_warmup():
-    values = apply_preset(minimal_values(**{"train.total_epochs": "8"}), "desk-default")
+    values = apply_preset(minimal_values(policy="dar", **{"train.total_epochs": "8"}),
+                          "desk-default")
     cfg = build_experiment_config(values)
     assert cfg.dar.warmup_epochs == 2
     assert cfg.dar.refresh_epochs == (4, 6)

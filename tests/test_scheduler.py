@@ -65,6 +65,15 @@ def test_state_refuses_a_fractional_population():
     assert init(np.int64(3)).active_ids.tolist() == [0, 1, 2]
 
 
+@pytest.mark.parametrize("epoch", [2.0, 0.5, -1, "2"])
+def test_state_refuses_an_epoch_that_is_not_an_integer_from_zero(epoch):
+    # unchecked, epoch=2.0 builds and end_of_epoch fails on indexing the plan with it
+    with pytest.raises(ValueError, match=rf"^epoch must be an integer >= 0, got {epoch}$"):
+        SchedulerState(epoch=epoch, active_ids=np.arange(8), population=8)
+    state = SchedulerState(epoch=np.int64(2), active_ids=np.arange(8), population=8)
+    assert end_of_epoch(state, TOY, np.ones(8))[1] is ActionKind.KEEP
+
+
 def test_state_refuses_fractional_ids_rather_than_truncating_them():
     # unchecked, [0.5, 1.7] is stored as [0, 1]
     with pytest.raises(ValueError, match=r"^example ids must be integers, got 0\.5$"):
@@ -72,6 +81,14 @@ def test_state_refuses_fractional_ids_rather_than_truncating_them():
     for dtype in (np.int8, np.uint16, np.int32, np.uint64):
         state = SchedulerState(epoch=0, active_ids=np.array([0, 2], dtype=dtype), population=3)
         assert state.active_ids.dtype == np.int64 and state.active_ids.tolist() == [0, 2]
+
+
+def test_select_hardest_refuses_a_repeated_id():
+    # unchecked, [1, 1, 0] at keep_rate 0.5 keeps (1, 1): one example twice
+    with pytest.raises(ValueError, match=r"^active id 1 is repeated$"):
+        select_hardest(LossLedger({0: 1.0, 1: 2.0}), [1, 1, 0], 0.5)
+    with pytest.raises(ValueError, match=r"^active id 2 is repeated$"):
+        select_hardest(LossLedger({0: 1.0, 2: 2.0, 5: 0.5}), [5, 2, 0, 2, 5], 0.5)
 
 
 def test_select_hardest_refuses_fractional_ids_rather_than_truncating_them():

@@ -4,11 +4,14 @@ import importlib
 import importlib.util
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from dropfresh.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -114,3 +117,21 @@ def test_readme_python_api_example_runs():
     exec(compile(blocks[0], "README.md (Python API)", "exec"), namespace)
     assert namespace["action"].value == "keep"
     assert namespace["state"].active_ids.tolist() == list(range(8))
+
+
+def test_readme_quick_start_cost_prints_what_train_runs(tmp_path, monkeypatch, capsys):
+    # the quick start previews a schedule with cost, then trains it: run both as written
+    section = (ROOT / "README.md").read_text().split("\n## Quick start\n", 1)[1].split("\n## ")[0]
+    ini, sh = (re.findall(rf"^```{kind}\n(.*?)^```$", section, flags=re.M | re.S)
+               for kind in ("ini", "sh"))
+    assert len(ini) == 1 and len(sh) == 1, (ini, sh)
+    (tmp_path / "desk.txt").write_text(ini[0])
+    monkeypatch.chdir(tmp_path)
+    printed = {}
+    for command in ("cost", "train"):
+        line, = (line for line in sh[0].splitlines() if line.startswith(f"dropfresh {command} "))
+        assert main(shlex.split(line)[1:]) == 0
+        printed[command] = capsys.readouterr().out.splitlines()[-1]
+    summary = dict(field.split("=", 1) for field in printed["train"].split())
+    assert summary["realized_cost"] == printed["cost"]
+    assert float(printed["cost"]) < 1.0  # the preview is of a drop-and-refresh schedule
