@@ -26,30 +26,30 @@ POLICIES = ("dar", "uniform", "reweight")
 REQUIRED = object()  # the default of a key that every config sets
 
 # Each key's kind and default, then what a set value may be: a number, or each entry of a list,
-# in [low, high] (high defaults to inf), or a text key one of its names. Every float is finite,
-# and a range a dataclass checks is left to it. "ints"/"floats" are comma-separated lists; an
-# unset or empty key, or an "ints" value of "none" or no entries, is the default. Sizes stop at
-# sys.maxsize, as numpy axes do.
+# in [low, high] (high defaults to inf), or a text key one of its names. Every float is finite;
+# ranges are the dataclasses', but for synthetic keys read before one is built. "ints"/"floats"
+# are comma-separated lists; an unset or empty key, or an "ints" value of "none" or no entries,
+# is the default. Sizes stop at sys.maxsize, as numpy axes do.
 _KEYS: dict[str, tuple] = {
     "data.source": ("text", REQUIRED, ("csv", "idx", "synthetic")), "data.csv": ("text", None),
     "data.idx_images": ("text", None), "data.idx_labels": ("text", None),
-    "data.class_count": ("int", None, 2, sys.maxsize), "data.val_csv": ("text", None),
-    "data.val_fraction": ("float", 0.0, 0.0, 0.5), "data.val_idx_images": ("text", None),
+    "data.class_count": ("int", None), "data.val_csv": ("text", None),
+    "data.val_fraction": ("float", 0.0), "data.val_idx_images": ("text", None),
     "data.val_idx_labels": ("text", None),
     "data.augment": ("text", "none", ("none", "gaussian_noise", "horizontal_flip")),
     "data.augment_sigma": ("float", 0.1), "data.augment_prob": ("float", 0.5),
     "synthetic.classes": ("int", 2, 2, sys.maxsize), "synthetic.dim": ("int", 2, 1, sys.maxsize),
-    "synthetic.per_class": ("ints", (100,), 1, sys.maxsize), "synthetic.seed": ("int", 0, 0),
+    "synthetic.per_class": ("ints", (100,)), "synthetic.seed": ("int", 0, 0),
     "synthetic.std": ("floats", (1.0,)), "synthetic.mean_scale": ("float", 1.0, 0.0),
-    "model.hidden": ("ints", (), 1, sys.maxsize), "policy": ("text", "uniform", POLICIES),
+    "model.hidden": ("ints", ()), "policy": ("text", "uniform"),
     "train.total_epochs": ("int", REQUIRED), "train.base_lr": ("float", REQUIRED),
     "train.momentum": ("float", 0.0), "train.weight_decay": ("float", 0.0),
     "train.lr_milestones": ("ints", ()), "train.lr_gamma": ("float", 0.1),
-    "train.batch_size": ("int", 32, 1),
+    "train.batch_size": ("int", 32),
     "dar.warmup_epochs": ("int", 0), "dar.interval_epochs": ("int", 1),
     "dar.keep_rate": ("float", 1.0), "dar.refresh_epochs": ("ints", ()),
     "dar.active_epochs": ("int", None),  # "unbounded" or "none" also give None
-    "run.seed": ("int", 0, 0), "run.out_dir": ("text", None),
+    "run.seed": ("int", 0), "run.out_dir": ("text", None),
 }
 
 _KINDS = {"int": (int, "an integer"), "float": (float, "a number"),
@@ -59,9 +59,9 @@ _KINDS = {"int": (int, "an integer"), "float": (float, "a number"),
 _SOURCE_KEYS = {"csv": ("data.csv",), "idx": ("data.idx_images", "data.idx_labels"),
                 "synthetic": tuple(key for key in _KEYS if key.startswith("synthetic."))}
 _VAL_SOURCE_KEYS = (("data.val_csv",), ("data.val_idx_images", "data.val_idx_labels"))
-_FIELD_KEYS = {key.split(".")[1]: key for key in _KEYS if key.startswith(("train.", "dar."))} | {
+_FIELD_KEYS = {k.split(".")[1]: k for k in _KEYS if k.startswith(("train.", "dar.", "data."))} | {
     "stds": "synthetic.std", "counts": "synthetic.per_class", "sigma": "data.augment_sigma",
-    "prob": "data.augment_prob"}
+    "prob": "data.augment_prob", "run_seed": "run.seed", "hidden_layers": "model.hidden"}
 
 
 class ConfigError(ValueError):
@@ -130,6 +130,22 @@ class DataConfig:
     val_paths: tuple[str, ...] = ()
     augment: AugmentPolicy = NoAugment()
 
+    def __post_init__(self) -> None:
+        if len(self.paths) > 2 or bool(self.paths) == (self.synthetic is not None):
+            raise ValueError(f"paths must be 1 or 2 files, or () with synthetic, got {self.paths}")
+        if len(self.val_paths) > 2:
+            raise ValueError(f"val_paths must hold 0, 1 or 2 files, got {self.val_paths!r}")
+        if not 0.0 <= self.val_fraction <= (0.0 if self.val_paths else 0.5):  # NaN fails both
+            raise ValueError(f"val_fraction must be in [0, 0.5], and 0 with val_paths set (a split "
+                             f"or a validation set, not both), got {self.val_fraction}")
+        count = self.class_count
+        if count is not None and not (self.paths and isinstance(count, (int, np.integer))
+                                      and 2 <= count <= sys.maxsize):
+            raise ValueError(f"class_count must be None on synthetic data, else an integer in "
+                             f"[2, {sys.maxsize}], got {count!r}")
+        if isinstance(self.augment, HorizontalFlip) and len(self.paths) != 2:
+            raise ValueError(f"augment HorizontalFlip needs an IDX pair in paths, got {self.paths}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -143,8 +159,20 @@ class ExperimentConfig:
     out_dir: str | None = None
     echo: Mapping[str, str] = field(default_factory=dict, compare=False)
 
-    def __post_init__(self) -> None:  # ``dar`` is the schedule the run trains, for any policy
-        if self.policy != "dar":
+    def __post_init__(self) -> None:
+        if self.policy not in POLICIES:
+            raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
+        for name, low in (("run_seed", 0), ("batch_size", 1)):
+            if not isinstance(value := getattr(self, name), (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not all(isinstance(h, (int, np.integer)) and 1 <= h <= sys.maxsize
+                   for h in self.hidden_layers):
+            raise ValueError(f"hidden_layers must be integers in [1, {sys.maxsize}], got "
+                             f"{self.hidden_layers!r}")
+        if any(m > self.dar.total_epochs for m in self.train.lr_milestones):
+            raise ValueError(f"lr_milestones must be <= {self.dar.total_epochs}, got "
+                             f"{self.train.lr_milestones}")
+        if self.policy != "dar":  # ``dar`` is the schedule the run trains, for any policy
             object.__setattr__(self, "dar", DarConfig(total_epochs=self.dar.total_epochs))
 
     @property
@@ -166,16 +194,12 @@ def _synthetic_from(values: Mapping[str, str]) -> SyntheticSpec:
     return SyntheticSpec(means=means, stds=stds, counts=tuple(counts), seed=seed)
 
 
-def _augment_from(values: Mapping[str, str], source: str) -> AugmentPolicy:
+def _augment_from(values: Mapping[str, str]) -> AugmentPolicy:
     name = _get(values, "data.augment")
     if name == "gaussian_noise":
         return GaussianNoise(sigma=_get(values, "data.augment_sigma"))
     if name == "horizontal_flip":
-        flip = HorizontalFlip(prob=_get(values, "data.augment_prob"))
-        if source != "idx":  # only IDX data has an image shape to flip
-            raise ConfigError(f"data.augment = horizontal_flip needs image data "
-                              f"(data.source = idx), got data.source = {source}")
-        return flip
+        return HorizontalFlip(prob=_get(values, "data.augment_prob"))
     return NoAugment()
 
 
@@ -187,30 +211,20 @@ def _data_from(values: Mapping[str, str]) -> DataConfig:
     if stray:
         raise ConfigError(f"data.source={source} but {stray[0]} is set; configs use exactly "
                           f"one dataset source")
-    class_count = _get(values, "data.class_count")
-    if source == "synthetic" and class_count is not None:
-        raise ConfigError("data.class_count is for csv and idx data; data.source = synthetic "
-                          "takes synthetic.classes")
-    val_fraction = _get(values, "data.val_fraction")
     val_keys = [keys for keys in _VAL_SOURCE_KEYS if any(values.get(k) for k in keys)]
-    if val_fraction > 0.0 and val_keys:
-        raise ConfigError("set data.val_fraction or an explicit validation file, not both")
     if len(val_keys) > 1:
         raise ConfigError("set data.val_csv or data.val_idx_images and data.val_idx_labels, "
                           "not both")
-    cfg = DataConfig(  # a path left unset is None here and refused below
-        paths=tuple(values.get(k) for k in _SOURCE_KEYS[source] if source != "synthetic"),
-        synthetic=_synthetic_from(values) if source == "synthetic" else None,
-        class_count=class_count,
-        val_fraction=val_fraction,
-        val_paths=tuple(values.get(k) for keys in val_keys for k in keys),
-        augment=_augment_from(values, source),
-    )
-    if not all(cfg.paths):
+    paths = tuple(values.get(k) for k in _SOURCE_KEYS[source] if source != "synthetic")
+    val_paths = tuple(values.get(k) for keys in val_keys for k in keys)
+    if not all(paths):
         raise ConfigError(f"data.source={source} requires {' and '.join(_SOURCE_KEYS[source])}")
-    if not all(cfg.val_paths):
+    if not all(val_paths):
         raise ConfigError("data.val_idx_images and data.val_idx_labels go together")
-    return cfg
+    synthetic = _synthetic_from(values) if source == "synthetic" else None
+    return DataConfig(paths=paths, synthetic=synthetic, val_paths=val_paths,
+                      class_count=_get(values, "data.class_count"),
+                      val_fraction=_get(values, "data.val_fraction"), augment=_augment_from(values))
 
 
 def build_experiment_config(values: Mapping[str, str]) -> ExperimentConfig:
@@ -218,33 +232,26 @@ def build_experiment_config(values: Mapping[str, str]) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
 
-    epochs = _get(values, "train.total_epochs")
-    base_lr = _get(values, "train.base_lr")
-    milestones = _get(values, "train.lr_milestones")
-    if any(m > epochs for m in milestones):
-        raise ConfigError(f"train.lr_milestones must be <= {epochs}, got {milestones}")
     try:
-        train = TrainHyper(base_lr=base_lr, momentum=_get(values, "train.momentum"),
-                           weight_decay=_get(values, "train.weight_decay"),
-                           lr_milestones=milestones, lr_gamma=_get(values, "train.lr_gamma"))
-        policy = _get(values, "policy")
+        train = TrainHyper(**{name: _get(values, f"train.{name}") for name in (
+            "base_lr", "momentum", "weight_decay", "lr_milestones", "lr_gamma")})
         unbounded = values.get("dar.active_epochs", "").lower() in ("unbounded", "none")
         active = None if unbounded else _get(values, "dar.active_epochs")
         dar = DarConfig(
-            total_epochs=epochs,
+            total_epochs=_get(values, "train.total_epochs"),
             warmup_epochs=_get(values, "dar.warmup_epochs"),
             interval_epochs=_get(values, "dar.interval_epochs"),
             keep_rate=_get(values, "dar.keep_rate"),
             active_epochs=active,
             refresh_epochs=_get(values, "dar.refresh_epochs"),
         )
-        return ExperimentConfig(  # the arguments run in order: sizes are checked before any data
+        return ExperimentConfig(
             batch_size=_get(values, "train.batch_size"),
             hidden_layers=_get(values, "model.hidden"),
             data=_data_from(values),
             train=train,
             dar=dar,
-            policy=policy,
+            policy=_get(values, "policy"),
             run_seed=_get(values, "run.seed"),
             out_dir=_get(values, "run.out_dir"),
             echo=dict(sorted(values.items())),

@@ -106,7 +106,8 @@ class IdxPair:
     whole label file when built; ``take`` reads the pixels once for all its row sets."""
 
     def __init__(self, image_path: Union[str, Path], label_path: Union[str, Path],
-                 class_count: int = 10) -> None:
+                 class_count: int | None = None) -> None:
+        class_count = 10 if class_count is None else class_count  # MNIST's ten digits
         dims = []
         for path, magic, rank in ((Path(image_path), _IDX_IMAGE_MAGIC, 3),
                                   (Path(label_path), _IDX_LABEL_MAGIC, 1)):
@@ -144,7 +145,7 @@ class IdxPair:
 
 
 def load_idx(image_path: Union[str, Path], label_path: Union[str, Path],
-             class_count: int = 10) -> Dataset:
+             class_count: int | None = None) -> Dataset:
     """Big-endian IDX image/label pair; uint8 pixels, read as float64 in [0, 1]."""
     return IdxPair(image_path, label_path, class_count).take(slice(None))[0]
 
@@ -198,8 +199,8 @@ class SyntheticSpec:
     class_count = property(lambda self: len(self.counts))
 
     def __post_init__(self) -> None:
-        if not self.counts or any(c < 1 for c in self.counts):
-            raise DatasetError(f"counts must all be >= 1, got {self.counts}")
+        if not self.counts or not all(1 <= c <= sys.maxsize for c in self.counts):
+            raise DatasetError(f"counts must all be in [1, {sys.maxsize}], got {self.counts}")
         if len(self.means) != len(self.counts):
             raise DatasetError(
                 f"counts must have one entry per class mean ({len(self.means)}), got {self.counts}")
@@ -239,8 +240,9 @@ class GaussianNoise:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not self.sigma >= 0:
-            raise DatasetError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:  # NaN fails both
+            kind = "finite" if self.sigma > 0 else ">= 0"
+            raise DatasetError(f"sigma must be {kind}, got {self.sigma}")
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,10 @@ class HarnessError(RuntimeError):
 
 
 def _open(paths: tuple[str, ...], class_count: int | None) -> Dataset | IdxPair:
-    """One path is a CSV file, two an IDX image/label pair (10 classes unless set)."""
+    """One path is a CSV file, two an IDX image/label pair."""
     if len(paths) == 1:
         return load_csv(paths[0], class_count)
-    return IdxPair(*paths, 10 if class_count is None else class_count)
+    return IdxPair(*paths, class_count)
 
 
 def _plan(data: DataConfig, seed: int) -> tuple[Dataset | IdxPair | SyntheticSpec, list,

@@ -101,8 +101,9 @@ class TrainHyper:
             raise ValueError(f"base_lr must be > 0, got {self.base_lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not self.weight_decay >= 0.0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < math.inf:  # NaN fails both
+            kind = "finite" if self.weight_decay > 0 else ">= 0"
+            raise ValueError(f"weight_decay must be {kind}, got {self.weight_decay}")
         if self.lr_gamma <= 0.0:
             raise ValueError(f"lr_gamma must be > 0, got {self.lr_gamma}")
         milestones = tuple(self.lr_milestones)
@@ -237,8 +238,9 @@ def backward(params: ParamSet, features: np.ndarray, labels: np.ndarray,
     """
     features = _check_features(params, features)
     labels = _check_labels(labels, features.shape[0], params.weights[-1].shape[0])
-    if not weight_decay >= 0.0:
-        raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
+    if not 0.0 <= weight_decay < math.inf:  # NaN fails both
+        kind = "finite" if weight_decay > 0 else ">= 0"
+        raise ValueError(f"weight_decay must be {kind}, got {weight_decay}")
     if sample_weights is not None:
         sample_weights = np.asarray(sample_weights, dtype=np.float64)
         if sample_weights.shape != features.shape[:1]:

@@ -627,7 +627,8 @@ def test_seed_flag_rejects_a_negative_seed_naming_the_key(write_config, capsys):
     path = write_config(TOY_VALUES)
     assert main(["train", "--config", str(path), "--seed", "-1"]) == 1
     payload = json.loads(capsys.readouterr().err)
-    assert payload == {"error": "ConfigError", "message": "run.seed must be >= 0, got -1"}
+    assert payload == {"error": "ConfigError",
+                       "message": "run.seed must be an integer >= 0, got -1"}
 
 
 @pytest.mark.parametrize("key, value, extra", [

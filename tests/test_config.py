@@ -1,14 +1,21 @@
 import math
 import operator
 import re
+import sys
 from pathlib import Path
 
-import pytest
+from dataclasses import replace
 
-from dropfresh import config
-from dropfresh.config import (ConfigError, ExperimentConfig, apply_preset,
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dropfresh import config, datasets, harness
+from dropfresh.config import (ConfigError, DataConfig, ExperimentConfig, apply_preset,
                               build_experiment_config, parse_config_text, read_config_file)
-from dropfresh.datasets import GaussianNoise, NoAugment
+from dropfresh.datasets import GaussianNoise, HorizontalFlip, NoAugment, SyntheticSpec
+from dropfresh.harness import run_experiment
+from dropfresh.model import TrainHyper
 from dropfresh.scheduler import DarConfig
 
 
@@ -279,20 +286,26 @@ def test_parsing_quirks(overrides, field, expected):
         assert operator.attrgetter(field)(cfg) == expected
 
 
+# run.seed is ExperimentConfig's run_seed; synthetic.seed is read before any dataclass exists
 @pytest.mark.parametrize("key", ["run.seed", "synthetic.seed"])
 def test_negative_seeds_are_rejected_naming_the_key(key):
-    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be >= 0, got -1$"):
+    rule = {"run.seed": "an integer >= 0", "synthetic.seed": ">= 0"}[key]
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be {rule}, got -1$"):
         build_experiment_config(minimal_values(**{key: "-1"}))
 
 
 # Values that ranges the dataclasses own reject; minimal_values has train.total_epochs = 6.
+TOO_BIG = str(sys.maxsize + 1)
 DATACLASS_REJECTS = [
     ("train.weight_decay", "-0.5"), ("synthetic.std", "-0.5"), ("data.augment_sigma", "-0.5"),
     ("data.augment_prob", "-0.5"), ("data.augment_prob", "1.5"), ("train.base_lr", "0"),
     ("train.momentum", "1"), ("train.lr_gamma", "0"), ("train.lr_milestones", "3,2"),
     ("train.total_epochs", "0"), ("dar.keep_rate", "0"), ("dar.keep_rate", "1.5"),
     ("dar.warmup_epochs", "6"), ("dar.interval_epochs", "0"), ("dar.active_epochs", "-1"),
-    ("dar.refresh_epochs", "7"),
+    ("dar.refresh_epochs", "7"), ("policy", "no-such-name"), ("run.seed", "-1"),
+    ("train.batch_size", "0"), ("model.hidden", "0"), ("model.hidden", TOO_BIG),
+    ("data.val_fraction", "-0.5"), ("data.val_fraction", "1.0"), ("data.class_count", "1"),
+    ("data.class_count", TOO_BIG), ("synthetic.per_class", "0"), ("synthetic.per_class", TOO_BIG),
 ]
 
 
@@ -324,6 +337,8 @@ POLICY_FOR = {"data.augment_sigma": "gaussian_noise", "data.augment_prob": "hori
                          ids=[f"{k}={v}" for k, v in rejected_values()])
 def test_every_key_rejects_what_its_table_entry_does_not_accept(key, value):
     values = minimal_values(**{"data.augment": POLICY_FOR.get(key, "none")})
+    if key == "data.class_count":  # a count is for file data, so test its range there
+        values = file_values(**{"data.source": "csv", "data.csv": "t.csv"})
     if value is None:
         del values[key]
     else:
@@ -334,12 +349,22 @@ def test_every_key_rejects_what_its_table_entry_does_not_accept(key, value):
 
 def test_key_table_defaults_and_names():
     assert config._KEYS["data.source"][2] == tuple(config._SOURCE_KEYS)
-    assert config._KEYS["policy"][2] == config.POLICIES
+    assert config._KEYS["policy"][1] in config.POLICIES  # ExperimentConfig checks the name
     for key, (kind, default, *accepts) in config._KEYS.items():
         if kind != "text" and accepts and default is not None:  # a default is in range
             low, high = (*accepts, math.inf)[:2]
             assert all(low <= v <= high for v in (default if kind in ("ints", "floats")
                                                   else (default,))), key
+
+
+def test_a_range_has_one_owner():
+    # a key that names a dataclass field leaves its range to that dataclass; a range stays in
+    # _KEYS only for the synthetic keys config.py reads before any dataclass exists
+    ranged = {key for key, (kind, _, *accepts) in config._KEYS.items()
+              if kind != "text" and accepts}
+    assert not ranged & set(config._FIELD_KEYS.values())
+    assert ranged == {"synthetic.classes", "synthetic.dim", "synthetic.mean_scale",
+                      "synthetic.seed"}
 
 
 def test_readme_config_table_lists_exactly_the_config_keys():
@@ -348,3 +373,116 @@ def test_readme_config_table_lists_exactly_the_config_keys():
     rows = [line for line in table.splitlines() if line.startswith("| `")]
     keys = {key for row in rows for key in re.findall(r"`([^`]+)`", row.split(" | ")[0])}
     assert keys == set(config._KEYS)
+
+
+# The Python API: a directly built config checks its own fields when built, before any data is
+# read, and names the field it refuses, as build_experiment_config names the key.
+
+API_SPEC = SyntheticSpec(means=((0.0, 0.0, 0.0, 0.0), (3.0, 0.0, 0.0, 0.0), (0.0, 3.0, 0.0, 0.0)),
+                         stds=(1.0,), counts=(20, 20, 20), seed=0)
+API_DATA = DataConfig(synthetic=API_SPEC)
+
+
+def api_config(data=API_DATA, milestones=(), **fields):
+    """A valid 3-epoch config for 3 classes of 4 features, with ``fields`` replaced."""
+    return ExperimentConfig(**{
+        "data": data, "hidden_layers": (4,), "train": TrainHyper(0.1, lr_milestones=milestones),
+        "dar": DarConfig(total_epochs=3, warmup_epochs=1, keep_rate=0.5), "policy": "dar",
+        "batch_size": 16, "run_seed": 0, **fields})
+
+
+def refuse_data_reads(patch):
+    def read(*args):
+        raise AssertionError("data was read while a config was built")
+    for module in (datasets, harness):
+        for name in ("gen_gaussian", "load_csv"):
+            patch.setattr(module, name, read)
+
+
+@pytest.mark.parametrize("field, build", [
+    ("policy", lambda: api_config(policy="DAR")),
+    ("run_seed", lambda: api_config(run_seed=1.5)),
+    ("run_seed", lambda: api_config(run_seed=-1)),
+    ("batch_size", lambda: api_config(batch_size=2.5)),
+    ("batch_size", lambda: api_config(batch_size=0)),
+    ("hidden_layers", lambda: api_config(hidden_layers=(2.5,))),
+    ("hidden_layers", lambda: api_config(hidden_layers=(0,))),
+    ("hidden_layers", lambda: api_config(hidden_layers=(-3,))),
+    ("lr_milestones", lambda: api_config(milestones=(7,))),
+    ("val_fraction", lambda: replace(API_DATA, val_fraction=0.9)),
+    ("val_fraction", lambda: replace(API_DATA, val_fraction=-0.1)),
+    ("val_fraction", lambda: replace(API_DATA, val_fraction=math.nan)),
+    ("val_fraction", lambda: replace(API_DATA, val_fraction=0.2, val_paths=("val.csv",))),
+    ("class_count", lambda: replace(API_DATA, class_count=1)),
+    ("paths", lambda: replace(API_DATA, paths=("train.csv",))),
+    ("paths", lambda: DataConfig(paths=("a.csv", "b.csv", "c.csv"))),
+    ("paths", lambda: DataConfig()),
+    ("augment", lambda: replace(API_DATA, augment=HorizontalFlip(0.5))),
+], ids=["policy-DAR", "run_seed-1.5", "run_seed--1", "batch_size-2.5", "batch_size-0",
+        "hidden_layers-2.5", "hidden_layers-0", "hidden_layers--3", "lr_milestones-7",
+        "val_fraction-0.9", "val_fraction--0.1", "val_fraction-nan", "val_fraction-and-val_paths",
+        "class_count-synthetic", "paths-and-synthetic", "paths-three", "paths-none",
+        "augment-flip-synthetic"])
+def test_a_directly_built_config_refuses_a_bad_field_naming_it(monkeypatch, field, build):
+    refuse_data_reads(monkeypatch)
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        build()
+
+
+@pytest.fixture(scope="module")
+def api_files(tmp_path_factory):
+    """A CSV file, a validation CSV file and an IDX pair of 2x2 images: 4 features, 3 classes."""
+    root = tmp_path_factory.mktemp("api")
+    rows = [f"{i % 3},{i}.0,{-i}.0,{i % 5}.0,1.0\n" for i in range(30)]
+    (root / "train.csv").write_text("".join(rows))
+    (root / "val.csv").write_text("".join(rows[:12]))
+    header = lambda magic, *dims: b"".join(x.to_bytes(4, "big") for x in (magic, *dims))
+    (root / "images").write_bytes(header(0x803, 30, 2, 2) + bytes(range(120)))
+    (root / "labels").write_bytes(header(0x801, 30) + bytes(i % 3 for i in range(30)))
+    return {"csv": (str(root / "train.csv"),), "val": (str(root / "val.csv"),),
+            "idx": (str(root / "images"), str(root / "labels"))}
+
+
+API_RULES = ("paths", "val_paths", "val_fraction", "class_count", "lr_milestones", "policy",
+             "run_seed", "batch_size", "hidden_layers")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_directly_built_config_trains_or_names_a_bad_field_before_reading_data(api_files, data):
+    # up to two fields get a value their rule refuses; a combination can break three more
+    bad = data.draw(st.sets(st.sampled_from(API_RULES), max_size=2), label="broken fields")
+
+    def pick(name, valid, invalid=()):
+        return data.draw(st.sampled_from(invalid if name in bad else valid), label=name)
+
+    csv, idx, val = api_files["csv"], api_files["idx"], api_files["val"]
+    paths, synthetic = pick("paths", [((), API_SPEC), (csv, None), (idx, None)],
+                            [((), None), (csv, API_SPEC), (idx + csv, None)])
+    val_paths = pick("val_paths", [(), val], [val * 3])
+    val_fraction = pick("val_fraction", [0.0, 0.25, 0.5], [0.9, -0.1, math.nan, math.inf])
+    class_count = pick("class_count", [None, 3, 4], [1, 2.5, sys.maxsize + 1])
+    augment = pick("augment", [NoAugment(), GaussianNoise(0.1), HorizontalFlip(0.5)])
+    milestones = pick("lr_milestones", [(), (2,), (3,)], [(4,), (7,)])
+    fields = {"policy": pick("policy", config.POLICIES, ["DAR", "ohem"]),
+              "run_seed": pick("run_seed", [0, 3, 2 ** 70], [-1, 1.5]),
+              "batch_size": pick("batch_size", [1, 16, 64], [0, -2, 2.5]),
+              "hidden_layers": pick("hidden_layers", [(), (4,), (3, 2)],
+                                    [(0,), (-3,), (2.5,), (4, sys.maxsize + 1)])}
+    if val_fraction and val_paths:
+        bad.add("val_fraction")
+    if class_count is not None and not paths:
+        bad.add("class_count")
+    if isinstance(augment, HorizontalFlip) and len(paths) != 2:
+        bad.add("augment")
+    with pytest.MonkeyPatch.context() as patch:
+        refuse_data_reads(patch)
+        try:
+            cfg = api_config(DataConfig(paths, synthetic, class_count, val_fraction, val_paths,
+                                        augment), milestones, **fields)
+        except ValueError as exc:
+            assert str(exc).split(" ", 1)[0] in bad, (str(exc), bad)
+            return
+    assert not bad, bad
+    report = run_experiment(cfg)
+    assert len(report.records) == 3

@@ -295,9 +295,15 @@ def test_train_hyper_refuses_a_fractional_milestone_rather_than_truncating_it():
     (lambda: TrainHyper(base_lr=0.1, weight_decay=math.nan), "weight_decay must be >= 0, got nan"),
     (lambda: backward(init_params([2, 3, 2], seed=0), np.ones((2, 2)), np.array([0, 1]),
                       weight_decay=math.nan), "weight_decay must be >= 0, got nan"),
-], ids=["GaussianNoise", "SyntheticSpec", "TrainHyper", "backward"])
+    (lambda: GaussianNoise(math.inf), "sigma must be finite, got inf"),
+    (lambda: TrainHyper(0.1, weight_decay=math.inf), "weight_decay must be finite, got inf"),
+    (lambda: backward(init_params([2, 3, 2], seed=0), np.ones((2, 2)), np.array([0, 1]),
+                      weight_decay=math.inf), "weight_decay must be finite, got inf"),
+], ids=["GaussianNoise", "SyntheticSpec", "TrainHyper", "backward", "GaussianNoise-inf",
+        "TrainHyper-inf", "backward-inf"])
 def test_api_range_checks_reject_nan(build, message):
-    # NaN fails every comparison, so a `< 0` check would let it through
+    # NaN fails every comparison, so a `< 0` check would let it through; inf would train, then
+    # give NaN updates at the first step
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
 
