@@ -3,6 +3,7 @@
 ``reweight`` keeps every example but scales its contribution to the next epoch's objective by
 its previous loss (clamped away from zero, renormalized to mean one). A ``uniform`` or
 ``reweight`` run trains the keep-everything schedule through ``scheduler.end_of_epoch``.
+``uniform_policy`` is no transition (the epoch stays); it is kept for the benchmark's tracer.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ class WeightVector:
 
 
 def uniform_policy(state: SchedulerState) -> tuple[SchedulerState, ActionKind]:
-    """The full pool (a full state as is); no run calls it, but ``perfbench/tracer.py`` times it."""
+    """The full pool (a full state as is) at the same epoch; no run calls it."""
     if state.active_ids.size < state.population:
         state = replace(state, active_ids=np.arange(state.population))
     return state, ActionKind.KEEP

@@ -36,18 +36,20 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args: argparse.Namespace):
-    values = read_config_file(args.config)
-    if args.preset:
-        values = apply_preset(values, args.preset)
+    """The file, the preset over it, then --set/--seed/--out; the preset fits their epochs."""
+    values, overrides = read_config_file(args.config), {}
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        values[key.strip()] = value.strip()
+        overrides[key.strip()] = value.strip()
     if getattr(args, "seed", None) is not None:
-        values["run.seed"] = str(args.seed)
+        overrides["run.seed"] = str(args.seed)
     if getattr(args, "out", None) is not None:
-        values["run.out_dir"] = args.out
+        overrides["run.out_dir"] = args.out
+    values.update(overrides)
+    if args.preset:
+        values = {**apply_preset(values, args.preset), **overrides}
     return build_experiment_config(values)
 
 

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
@@ -121,9 +122,7 @@ def run_experiment_with_params(cfg: ExperimentConfig) -> tuple[RunReport, ParamS
     cumulative = 0
     loss_by_id = np.empty(train_set.n)  # each epoch writes every active id's loss
 
-    for _ in range(cfg.total_epochs):
-        state = state.next_epoch()
-        epoch = state.epoch
+    for epoch in range(1, cfg.total_epochs + 1):
         epoch_key = datasets.epoch_seed(cfg.run_seed, epoch)
         plan = datasets.epoch_batches(state.active_ids, cfg.batch_size, cfg.run_seed, epoch)
         # an overflow anywhere in a batch, its loss, gradients or update raises here
@@ -257,18 +256,14 @@ def compare(cfgs: Sequence[ExperimentConfig]) -> list[CompareRow]:
                 raise HarnessError(
                     f"config {i} differs from config 1 in {name}; compare runs must "
                     f"differ only in policy and drop/refresh settings")
-    labels = [cfg.policy for cfg in cfgs]
-    for label in set(labels):
-        if labels.count(label) > 1:
-            labels = [f"{lab}-{i}" if lab == label else lab
-                      for i, lab in enumerate(labels, start=1)]
+    counts = Counter(cfg.policy for cfg in cfgs)
+    labels = [cfg.policy if counts[cfg.policy] == 1 else f"{cfg.policy}-{i}"
+              for i, cfg in enumerate(cfgs, start=1)]
     rows: list[CompareRow] = []
-    reference: float | None = None
     for label, cfg in zip(labels, cfgs):
         report = run_experiment(cfg)
         acc = report.final_validation_accuracy
-        if reference is None:
-            reference = acc
+        reference = rows[0].final_accuracy if rows else acc
         delta = None if acc is None or reference is None else acc - reference
         rows.append(CompareRow(label=label, cost_ratio=report.realized_cost_ratio,
                                final_accuracy=acc, delta_accuracy=delta))

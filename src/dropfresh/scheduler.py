@@ -6,11 +6,12 @@ with the largest recorded losses (a *drop*), until the cycle's drop window
 closes. At each scheduled refresh epoch the pool is restored to the full
 dataset and a new cycle begins.
 
-The rules are one pure function of the schedule's counters, :func:`_decide`, which only
-:func:`trace` runs: it plans each epoch's pool size and action from the config and population
-alone. Losses only choose *which* examples survive a drop. The training loop owns a
-:class:`SchedulerState` (epoch and pool), and :func:`end_of_epoch` applies the plan's action
-for that epoch, given the epoch's losses in pool order.
+:func:`trace`'s loop holds the rules: it plans each epoch's pool size and action from the
+config and population alone, and losses only choose *which* examples survive a drop. The
+training loop owns a :class:`SchedulerState` (epochs ended, and the pool), and
+:func:`end_of_epoch`, its one transition, applies the plan's action for the epoch just trained,
+given its losses in pool order. ``baselines.uniform_policy`` is no transition: it is kept only
+for the benchmark's tracer.
 """
 from __future__ import annotations
 
@@ -99,8 +100,8 @@ def check_losses(ids, losses: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class SchedulerState:
-    """The last epoch run and its pool, ``active_ids``: a strictly ascending, read-only int64
-    copy of what was passed. The counters that pace drops belong to :func:`trace`."""
+    """Epochs ended and the next epoch's pool, ``active_ids``: a strictly ascending, read-only
+    int64 copy of what was passed. The counters that pace drops belong to :func:`trace`."""
 
     epoch: int
     active_ids: np.ndarray
@@ -121,12 +122,6 @@ class SchedulerState:
             raise ValueError("active_ids must be strictly ascending")
         ids.flags.writeable = False
         object.__setattr__(self, "active_ids", ids)
-
-    def next_epoch(self) -> "SchedulerState":
-        """Advance the epoch counter; nothing else changes, so nothing is re-checked."""
-        state = copy.copy(self)
-        object.__setattr__(state, "epoch", self.epoch + 1)
-        return state
 
 
 class LossLedger(dict):
@@ -150,7 +145,7 @@ class LossLedger(dict):
 
 
 def init(population: int) -> SchedulerState:
-    """State before epoch 1: the full pool."""
+    """State before epoch 1 (no epoch ended): the full pool."""
     return SchedulerState(epoch=0, active_ids=np.arange(population), population=population)
 
 
@@ -180,39 +175,16 @@ def _hardest(ids: np.ndarray, losses: np.ndarray, count: int) -> np.ndarray:
     return np.sort(ids[np.lexsort((ids, -losses))[:count]])
 
 
-def _decide(config: DarConfig, epoch: int, cycle_start: int, last_drop: int,
-            pool_size: int, population: int) -> tuple[ActionKind, int, int, int]:
-    """The end-of-epoch rules: ``(action, new_size, cycle_start, last_drop)``.
-
-    Order matters: the drop rule is evaluated first, then a scheduled
-    refresh, which supersedes a drop landing on the same epoch. A drop that
-    would retain the whole pool (keep_rate 1.0 on an already-minimal pool,
-    say) is reported as a keep; it still advances ``last_drop``.
-    """
-    action, size = ActionKind.KEEP, pool_size
-    if epoch > config.warmup_epochs:
-        window_open = (config.active_epochs is None
-                       or epoch - cycle_start < config.active_epochs)
-        if epoch - last_drop == config.interval_epochs and window_open:
-            last_drop = epoch
-            kept = config.keep_count(pool_size)
-            if kept < pool_size:
-                action, size = ActionKind.DROP, kept
-    if epoch in config.refresh_epochs:
-        action, size, cycle_start, last_drop = ActionKind.REFRESH, population, epoch, epoch
-    return action, size, cycle_start, last_drop
-
-
 def end_of_epoch(state: SchedulerState, config: DarConfig,
                  losses: np.ndarray) -> tuple[SchedulerState, ActionKind]:
-    """Apply :func:`trace`'s action for ``state.epoch``, whose pool must have the plan's size.
+    """End epoch ``state.epoch + 1``, which trained on ``state``'s pool of the plan's size:
+    apply :func:`trace`'s action for it and return the state after it and that action.
 
-    A keep returns ``state`` itself, a refresh the full pool and a drop the examples with the
-    largest ``losses``: one per active id in pool order, checked by :func:`check_losses`.
+    A keep shares ``state``'s ``active_ids``, a refresh restores the full pool and a drop keeps
+    the examples with the largest ``losses``: one per active id in pool order, checked by
+    :func:`check_losses`. A state already at ``total_epochs`` is refused.
     """
-    epoch = state.epoch
-    if epoch < 1:
-        raise ValueError("end_of_epoch before any epoch ran; call next_epoch first")
+    epoch = state.epoch + 1
     if epoch > config.total_epochs:
         raise ValueError(f"epoch {epoch} exceeds total_epochs {config.total_epochs}")
     active = state.active_ids
@@ -223,11 +195,13 @@ def end_of_epoch(state: SchedulerState, config: DarConfig,
     planned = trace(config, state.population)[epoch - 1]
     if planned.size != active.size:
         raise ValueError(f"epoch {epoch} pool of {active.size}, not the plan's {planned.size}")
-    if planned.action is ActionKind.KEEP:
-        return state, planned.action
-    return replace(state, active_ids=_hardest(active, losses, config.keep_count(active.size))
-                   if planned.action is ActionKind.DROP
-                   else np.arange(state.population)), planned.action
+    if planned.action is ActionKind.KEEP:  # the same checked pool: nothing to copy or check
+        ended = copy.copy(state)
+        object.__setattr__(ended, "epoch", epoch)
+        return ended, planned.action
+    pool = (_hardest(active, losses, config.keep_count(active.size))
+            if planned.action is ActionKind.DROP else np.arange(state.population))
+    return replace(state, epoch=epoch, active_ids=pool), planned.action
 
 
 @dataclass(frozen=True)
@@ -241,15 +215,27 @@ class TraceEntry:
 
 def trace(config: DarConfig, population: int) -> list[TraceEntry]:
     """The plan: each epoch's pool size and end-of-epoch action, from the counters alone
-    (no losses, no model). This is the one place :func:`_decide` runs."""
+    (no losses, no model). This loop is the only place the end-of-epoch rules run.
+
+    Order matters: the drop rule is evaluated first, then a scheduled
+    refresh, which supersedes a drop landing on the same epoch. A drop that
+    would retain the whole pool (keep_rate 1.0 on an already-minimal pool,
+    say) is reported as a keep; it still advances ``last_drop``.
+    """
     if not isinstance(population, (int, np.integer)) or population < 1:
         raise ValueError(f"population must be an integer >= 1, got {population}")
-    cycle_start = last_drop = config.warmup_epochs
+    cycle_start = last_drop = config.warmup_epochs  # so no drop lands in the warm-up
     size = population
     rows: list[TraceEntry] = []
     for epoch in range(1, config.total_epochs + 1):
-        action, next_size, cycle_start, last_drop = _decide(
-            config, epoch, cycle_start, last_drop, size, population)
+        action, next_size = ActionKind.KEEP, size
+        window_open = config.active_epochs is None or epoch - cycle_start < config.active_epochs
+        if epoch - last_drop == config.interval_epochs and window_open:
+            last_drop = epoch
+            if (kept := config.keep_count(size)) < size:
+                action, next_size = ActionKind.DROP, kept
+        if epoch in config.refresh_epochs:
+            action, next_size, cycle_start, last_drop = ActionKind.REFRESH, population, epoch, epoch
         rows.append(TraceEntry(epoch=epoch, size=size, action=action))
         size = next_size
     return rows

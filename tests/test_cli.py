@@ -136,6 +136,22 @@ def test_cost_respects_preset_and_overrides(write_config, capsys):
     assert lines[-1] == repr(expected)
 
 
+@pytest.mark.parametrize("epochs", [40, 8])
+def test_a_preset_is_scaled_to_the_epochs_set_on_the_command_line(write_config, capsys,
+                                                                 epochs):
+    # scaled to the file's 20 epochs, a 40-epoch run refreshed at 5, 10, 15 and then idled
+    # for 23 epochs, and an 8-epoch one failed on a refresh at 10 the user never set
+    values = run_values(**{"train.total_epochs": "20", "policy": "dar"})
+    assert main(["cost", "--config", str(write_config(values)), "--preset", "desk-default",
+                 "--set", f"train.total_epochs={epochs}"]) == 0
+    overridden = capsys.readouterr().out
+    values["train.total_epochs"] = str(epochs)
+    assert main(["cost", "--config", str(write_config(values)),
+                 "--preset", "desk-default"]) == 0
+    assert overridden == capsys.readouterr().out
+    assert overridden.count("\n") == epochs + 2 and "refresh" in overridden
+
+
 def idx_bytes(magic, dims, payload):
     return (b"".join(x.to_bytes(4, "big") for x in (magic, *dims))
             + np.asarray(payload, dtype=np.uint8).tobytes())

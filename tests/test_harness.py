@@ -319,6 +319,11 @@ def test_compare_disambiguates_duplicate_labels():
     b = build_experiment_config(small_dar_values(**{"dar.keep_rate": "0.8"}))
     rows = compare([a, b])
     assert [r.label for r in rows] == ["dar-1", "dar-2"]
+    uni = build_experiment_config(small_values(policy="uniform"))
+    rows = compare([a, uni, b])  # a policy that appears once keeps its bare name
+    assert [r.label for r in rows] == ["dar-1", "uniform", "dar-3"]
+    assert rows[0].delta_accuracy == 0.0
+    assert rows[2].delta_accuracy == rows[2].final_accuracy - rows[0].final_accuracy
 
 
 def test_export_features_csv(tmp_path):

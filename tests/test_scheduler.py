@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dropfresh.baselines import reweight, uniform_policy
-from dropfresh.scheduler import (ActionKind, DarConfig, LossLedger, SchedulerState, _decide,
+from dropfresh.scheduler import (ActionKind, DarConfig, LossLedger, SchedulerState,
                                  end_of_epoch, init, planned_cost, select_hardest,
                                  trace, trace_csv_lines)
 
@@ -22,20 +22,19 @@ def drive(config, population, losses_for):
     state = init(population)
     rows = []
     for _ in range(config.total_epochs):
-        state = state.next_epoch()
         size = len(state.active_ids)
-        losses = np.array([losses_for(state.epoch, i) for i in state.active_ids.tolist()])
+        losses = np.array([losses_for(state.epoch + 1, i) for i in state.active_ids.tolist()])
         state, action = end_of_epoch(state, config, losses)
         rows.append((size, action))
     return rows
 
 
 def reach(config, population, epoch):
-    """The state of a run that has trained ``epoch`` but not yet ended it, reached from
-    ``init`` with each example's loss equal to its id (a drop keeps the largest ids)."""
-    state = init(population).next_epoch()
-    while state.epoch < epoch:
-        state = end_of_epoch(state, config, state.active_ids * 1.0)[0].next_epoch()
+    """The state epoch ``epoch`` trains on (``epoch - 1`` epochs ended), reached from ``init``
+    with each example's loss equal to its id (a drop keeps the largest ids)."""
+    state = init(population)
+    while state.epoch < epoch - 1:
+        state = end_of_epoch(state, config, state.active_ids * 1.0)[0]
     return state
 
 
@@ -70,8 +69,8 @@ def test_state_refuses_an_epoch_that_is_not_an_integer_from_zero(epoch):
     # unchecked, epoch=2.0 builds and end_of_epoch fails on indexing the plan with it
     with pytest.raises(ValueError, match=rf"^epoch must be an integer >= 0, got {epoch}$"):
         SchedulerState(epoch=epoch, active_ids=np.arange(8), population=8)
-    state = SchedulerState(epoch=np.int64(2), active_ids=np.arange(8), population=8)
-    assert end_of_epoch(state, TOY, np.ones(8))[1] is ActionKind.KEEP
+    state = SchedulerState(epoch=np.int64(1), active_ids=np.arange(8), population=8)
+    assert end_of_epoch(state, TOY, np.ones(8))[1] is ActionKind.KEEP  # epoch 2: warm-up
 
 
 def test_state_refuses_fractional_ids_rather_than_truncating_them():
@@ -216,7 +215,7 @@ def _select_hardest(losses):
 
 
 def _end_of_epoch(losses):
-    state = SchedulerState(epoch=1, active_ids=np.arange(losses.size), population=losses.size)
+    state = SchedulerState(epoch=0, active_ids=np.arange(losses.size), population=losses.size)
     end_of_epoch(state, DarConfig(total_epochs=1, keep_rate=0.5), losses)
 
 
@@ -242,7 +241,7 @@ def test_a_drop_keeps_what_select_hardest_and_brute_force_keep(eighths, keep_cen
     # losses in eighths from a small range tie often and add exactly
     rate, ids = keep_cents / 100.0, list(range(len(eighths)))
     losses = {i: e / 8.0 for i, e in zip(ids, eighths)}
-    state = SchedulerState(epoch=1, active_ids=ids, population=len(ids))
+    state = SchedulerState(epoch=0, active_ids=ids, population=len(ids))
     kept = tuple(end_of_epoch(state, DarConfig(total_epochs=1, keep_rate=rate),
                               np.array(list(losses.values())))[0].active_ids.tolist())
     assert kept == select_hardest(LossLedger(losses), ids, rate)
@@ -286,10 +285,10 @@ def test_ledger_batch_record_names_the_bad_example(bad, fragment):
 
 
 def test_end_of_epoch_keep_during_warmup():
-    state = init(8).next_epoch()
+    state = init(8)
     new_state, action = end_of_epoch(state, TOY, np.arange(8.0))
     assert action is ActionKind.KEEP
-    assert new_state is state
+    assert new_state.epoch == 1 and new_state.active_ids is state.active_ids
 
 
 def test_end_of_epoch_drop_keeps_hardest():
@@ -322,7 +321,7 @@ def test_end_of_epoch_closed_window_blocks_drop():
     assert state.active_ids.tolist() == [14, 15]
     new_state, action = end_of_epoch(state, closing, np.array([1.0, 2.0]))
     assert action is ActionKind.KEEP
-    assert new_state is state
+    assert new_state.active_ids is state.active_ids
     unbounded = dataclasses.replace(closing, active_epochs=None)
     new_state, action = end_of_epoch(reach(unbounded, 16, 6), unbounded, np.array([1.0, 2.0]))
     assert action is ActionKind.DROP and new_state.active_ids.tolist() == [15]
@@ -333,14 +332,15 @@ def test_noop_drop_reports_keep_but_advances_interval():
     state = reach(cfg, 3, 3)
     new_state, action = end_of_epoch(state, cfg, np.array([0.1, 0.2, 0.3]))
     assert action is ActionKind.KEEP
-    assert new_state is state
-    # the rule behind trace's row: epoch 3 attempts a drop, so it becomes the last drop
-    assert _decide(cfg, 3, 1, 1, 3, 3) == (ActionKind.KEEP, 3, 1, 3)
+    assert new_state.active_ids is state.active_ids
+    # epoch 3 attempts a drop and becomes the last drop, so epoch 5 attempts the next one; as
+    # a no-op drop leaves the pool as it is, every later attempt is a keep too
+    assert [row.action.value for row in trace(cfg, 3)] == ["keep"] * 6
 
 
 def test_end_of_epoch_rejects_a_pool_the_plan_does_not_have():
     # TOY trains epoch 3 on all 4 examples; a hand-made pool of 3 is not the plan's
-    state = SchedulerState(epoch=3, active_ids=(0, 1, 2), population=4)
+    state = SchedulerState(epoch=2, active_ids=(0, 1, 2), population=4)
     with pytest.raises(ValueError,
                        match="^epoch 3 pool of 3, not the plan's 4$"):
         end_of_epoch(state, TOY, np.ones(3))
@@ -361,16 +361,20 @@ def test_end_of_epoch_rejects_anything_but_one_good_loss_per_active_id():
 
 def test_end_of_epoch_epoch_bounds():
     losses = np.zeros(8)
-    with pytest.raises(ValueError, match="next_epoch"):
-        end_of_epoch(init(8), TOY, losses)
-    late = reach(TOY, 8, 9)  # past TOY's last epoch
+    assert end_of_epoch(init(8), TOY, losses)[0].epoch == 1  # init ends epoch 1
+    done = reach(TOY, 8, 9)  # all of TOY's 8 epochs ended
+    assert done.epoch == 8 and done.active_ids.tolist() == [7]
     with pytest.raises(ValueError, match="^epoch 9 exceeds total_epochs 8$"):
-        end_of_epoch(late, TOY, losses)
+        end_of_epoch(done, TOY, np.zeros(1))
+    with pytest.raises(ValueError, match="^epoch 21 exceeds total_epochs 8$"):
+        end_of_epoch(SchedulerState(epoch=20, active_ids=np.arange(8), population=8), TOY,
+                     losses)
 
 
-def test_next_epoch_advances_only_the_epoch():
+def test_a_keep_advances_only_the_epoch():
     state = init(8)
-    after = state.next_epoch()
+    after, action = end_of_epoch(state, TOY, np.ones(8))
+    assert action is ActionKind.KEEP
     assert after.epoch == state.epoch + 1
     assert after.active_ids is state.active_ids
     assert after.population == state.population
@@ -539,10 +543,10 @@ def test_driven_run_preserves_membership_invariants(case, loss_seed):
     cfg, population = case
     state = init(population)
     full = list(range(population))
-    for _ in range(cfg.total_epochs):
-        old = state.next_epoch()
+    for epoch in range(1, cfg.total_epochs + 1):
+        old = state
         ledger = LossLedger({
-            i: float((i * 2654435761 + old.epoch * loss_seed) % 97) / 7.0
+            i: float((i * 2654435761 + epoch * loss_seed) % 97) / 7.0
             for i in old.active_ids.tolist()})
         losses = np.array([ledger[i] for i in old.active_ids.tolist()])
         state, action = end_of_epoch(old, cfg, losses)
@@ -557,17 +561,40 @@ def test_driven_run_preserves_membership_invariants(case, loss_seed):
         assert len(state.active_ids) >= 1
 
 
-def test_each_epoch_applies_its_trace_row_and_a_keep_returns_its_state():
+def _ended(state, config):
+    """Each ``(state, action)`` from ending ``state``'s epoch to the run's last, with losses a
+    small hash of id and epoch (so they tie often)."""
+    while state.epoch < config.total_epochs:
+        losses = ((state.active_ids * 7 + state.epoch * 3) % 5) * 1.0
+        state, action = end_of_epoch(state, config, losses)
+        yield state, action
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedule_configs())
+def test_a_state_rebuilt_from_its_fields_at_any_epoch_boundary_continues_the_run(case):
+    # a checkpoint of (epoch, active_ids, population) is enough: trace replans the counters
+    cfg, population = case
+    run = [(init(population), None), *_ended(init(population), cfg)]
+
+    def rows(states):
+        return [(state.epoch, state.active_ids.tolist(), action) for state, action in states]
+    for boundary, (state, _) in enumerate(run):
+        rebuilt = SchedulerState(state.epoch, state.active_ids.tolist(), state.population)
+        assert rows(_ended(rebuilt, cfg)) == rows(run[boundary + 1:])
+
+
+def test_each_epoch_applies_its_trace_row_and_a_keep_shares_its_pool():
     # on two examples TOY keeps in warm-up (epochs 1-2) and where a drop
     # would keep the one example left (epochs 4, 7, 8)
     state = init(2)
     kinds = []
     for row in trace(TOY, 2):
-        old = state.next_epoch()
+        old = state
         state, kind = end_of_epoch(old, TOY, old.active_ids % 3.0)
-        assert (old.epoch, old.active_ids.size, kind) == (row.epoch, row.size, row.action)
-        assert state.epoch == old.epoch and state.population == old.population
-        assert (state is old) == (kind is ActionKind.KEEP)
+        assert (state.epoch, old.active_ids.size, kind) == (row.epoch, row.size, row.action)
+        assert state.epoch == old.epoch + 1 and state.population == old.population
+        assert (state.active_ids is old.active_ids) == (kind is ActionKind.KEEP)
         kinds.append(kind)
     assert [kind.value for kind in kinds] == ["keep", "keep", "drop", "keep", "refresh",
                                               "drop", "keep", "keep"]

@@ -109,14 +109,23 @@ def test_every_module_level_name_and_method_is_used_somewhere():
 
 
 def test_readme_python_api_example_runs():
-    # the README's API example is prose a test would otherwise never read; run it as written
+    # the README's API example is prose a test would otherwise never read: run it as written,
+    # one statement at a time, and hold each `expr  # value` line's comment to what expr gives
     section = (ROOT / "README.md").read_text().split("\n## Python API\n", 1)[1].split("\n## ")[0]
     blocks = re.findall(r"^```python\n(.*?)^```$", section, flags=re.M | re.S)
     assert len(blocks) == 1, blocks
-    namespace = {}
-    exec(compile(blocks[0], "README.md (Python API)", "exec"), namespace)
-    assert namespace["action"].value == "keep"
-    assert namespace["state"].active_ids.tolist() == list(range(8))
+    lines, namespace, checked = blocks[0].splitlines(), {}, []
+    for stmt in ast.parse(blocks[0]).body:
+        comment = lines[stmt.end_lineno - 1][stmt.end_col_offset:].strip()
+        if isinstance(stmt, ast.Expr) and comment.startswith("#"):
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            assert comment[1:].lstrip().startswith((repr(value), str(value))), (
+                ast.unparse(stmt), comment, value)
+            checked.append(ast.unparse(stmt))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md (Python API)", "exec"), namespace)
+    assert len(checked) >= 3, checked
+    assert namespace["action"].value == "drop"
 
 
 def test_readme_quick_start_cost_prints_what_train_runs(tmp_path, monkeypatch, capsys):
