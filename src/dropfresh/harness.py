@@ -13,14 +13,15 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
+from contextvars import ContextVar, copy_context
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
 from . import datasets, model, scheduler
-from .baselines import reweight
+from .baselines import WeightVector, reweight
 from .config import DataConfig, ExperimentConfig
 from .datasets import Dataset, IdxPair, SyntheticSpec, gen_gaussian, load_csv
 from .model import ParamSet, init_params, lr_at
@@ -29,6 +30,8 @@ _SPLIT_STREAM = 1
 # Evaluation and the export run on blocks of this many rows, the last up to twice as many: on
 # OpenBLAS 0.3.31 each row then gets the bits of the whole product (fewer rows can change them)
 _ROW_BLOCK = 256
+# Only in compare's runs: the configs still to run, states saved by fork epoch, the shared data
+_COMPARE: ContextVar[tuple | None] = ContextVar("_COMPARE", default=None)
 
 
 class HarnessError(RuntimeError):
@@ -110,60 +113,95 @@ def metrics_lines(records: Sequence[EpochRecord]) -> list[str]:
     return [json.dumps(asdict(r), sort_keys=True) for r in records]
 
 
+@dataclass
+class RunState:
+    """What a run carries between epochs, plus scratch ``grads`` and ``loss_by_id`` it refills."""
+    params: ParamSet
+    velocity: ParamSet
+    grads: ParamSet
+    loss_by_id: np.ndarray  # each epoch writes every active id's loss
+    schedule: scheduler.SchedulerState
+    weights: WeightVector | None  # reweight policy only
+    records: list[EpochRecord]
+    cumulative: int
+
+    def copy(self) -> RunState:  # trains apart from this state; they share scratch, so in turn
+        return replace(self, params=self.params.copy(), velocity=self.velocity.copy(),
+                       records=list(self.records))
+
+
+def train_epoch(cfg: ExperimentConfig, train_set: Dataset, val_set: Dataset | None,
+                run: RunState, epoch: int) -> tuple[np.ndarray, float | None]:
+    """Train ``epoch`` on ``run``'s pool: its losses in pool order and validation accuracy."""
+    epoch_key = datasets.epoch_seed(cfg.run_seed, epoch)
+    plan = datasets.epoch_batches(run.schedule.active_ids, cfg.batch_size, cfg.run_seed, epoch)
+    # an overflow anywhere in a batch, its loss, gradients or update raises here
+    with np.errstate(over="raise", invalid="raise"):
+        for batch_ids in plan:
+            try:
+                batch = datasets.make_batch(train_set, batch_ids, cfg.data.augment, epoch_key)
+                sample_weights = run.weights.values[batch.ids] if run.weights is not None else None
+                run.loss_by_id[batch_ids] = model.loss_and_gradients(
+                    run.params, batch.features, batch.labels, cfg.train.weight_decay,
+                    sample_weights, out=run.grads)[0]
+                model.sgd_step(run.params, run.grads, cfg.train, epoch, run.velocity)
+            except (ValueError, FloatingPointError) as exc:
+                raise HarnessError(
+                    f"epoch {epoch}, examples {batch_ids[:3].tolist()}...: {exc}") from exc
+    try:
+        val_acc = evaluate(run.params, val_set) if val_set is not None else None
+    except FloatingPointError as exc:
+        raise HarnessError(f"epoch {epoch}, validation: {exc}") from exc
+    return run.loss_by_id[run.schedule.active_ids], val_acc  # the plan permutes the pool
+
+
+def close_epoch(cfg: ExperimentConfig, run: RunState, epoch: int, losses: np.ndarray,
+                val_acc: float | None) -> None:
+    """End ``epoch`` under ``cfg``: its ``reweight`` and schedule action, then its record."""
+    run.cumulative += losses.size
+    mean_loss = math.fsum(losses.tolist()) / losses.size  # exactly rounded, in any order
+    if cfg.policy == "reweight":
+        run.weights = reweight(losses)  # the pool is the whole population: id order
+    run.schedule, action = scheduler.end_of_epoch(run.schedule, cfg.dar, losses)
+    run.records.append(EpochRecord(
+        epoch=epoch, active_count=losses.size, mean_train_loss=mean_loss,
+        validation_accuracy=val_acc, learning_rate=lr_at(cfg.train, epoch),
+        cumulative_examples_used=run.cumulative, action=action.value))
+
+
+def _fork_epoch(cfg: ExperimentConfig, population: int) -> int:
+    """The last epoch ``cfg`` trains as the full-pool, unweighted run does, from its plan."""
+    return 1 if cfg.policy == "reweight" else next((row.epoch - 1 for row in scheduler.trace(
+        cfg.dar, population) if row.size < population), cfg.total_epochs)
+
+
 def run_experiment_with_params(cfg: ExperimentConfig) -> tuple[RunReport, ParamSet]:
     start = time.perf_counter()
-    train_set, val_set = load_dataset(cfg.data, cfg.run_seed)
-    layers = [train_set.dim, *cfg.hidden_layers, train_set.class_count]
-    params = init_params(layers, cfg.run_seed)
-    velocity, grads = ParamSet.zeros_like(params), ParamSet.zeros_like(params)
-    state = scheduler.init(train_set.n)
-    weights = None  # reweight policy only
-    records: list[EpochRecord] = []
-    cumulative = 0
-    loss_by_id = np.empty(train_set.n)  # each epoch writes every active id's loss
-
-    for epoch in range(1, cfg.total_epochs + 1):
-        epoch_key = datasets.epoch_seed(cfg.run_seed, epoch)
-        plan = datasets.epoch_batches(state.active_ids, cfg.batch_size, cfg.run_seed, epoch)
-        # an overflow anywhere in a batch, its loss, gradients or update raises here
-        with np.errstate(over="raise", invalid="raise"):
-            for batch_ids in plan:
-                try:
-                    batch = datasets.make_batch(train_set, batch_ids, cfg.data.augment, epoch_key)
-                    sample_weights = weights.values[batch.ids] if weights is not None else None
-                    loss_by_id[batch_ids] = model.loss_and_gradients(
-                        params, batch.features, batch.labels, cfg.train.weight_decay,
-                        sample_weights, out=grads)[0]
-                    model.sgd_step(params, grads, cfg.train, epoch, velocity)
-                except (ValueError, FloatingPointError) as exc:
-                    raise HarnessError(
-                        f"epoch {epoch}, examples {batch_ids[:3].tolist()}...: {exc}") from exc
-        losses = loss_by_id[state.active_ids]  # the plan is a permutation of the pool
-
-        active_count = len(state.active_ids)
-        cumulative += active_count
-        mean_loss = math.fsum(losses.tolist()) / losses.size  # exactly rounded, in any order
-        try:
-            val_acc = evaluate(params, val_set) if val_set is not None else None
-        except FloatingPointError as exc:
-            raise HarnessError(f"epoch {epoch}, validation: {exc}") from exc
-
-        if cfg.policy == "reweight":
-            weights = reweight(losses)  # the pool is the whole population: id order
-        state, action = scheduler.end_of_epoch(state, cfg.dar, losses)
-
-        records.append(EpochRecord(
-            epoch=epoch, active_count=active_count, mean_train_loss=mean_loss,
-            validation_accuracy=val_acc, learning_rate=lr_at(cfg.train, epoch),
-            cumulative_examples_used=cumulative, action=action.value))
-
-    report = RunReport(
-        config=dict(cfg.echo),
-        records=tuple(records),
-        final_validation_accuracy=records[-1].validation_accuracy,
-        realized_cost_ratio=cumulative / (cfg.total_epochs * train_set.n),
-        wall_clock_seconds=time.perf_counter() - start)
-    return report, params
+    later, saved, data = _COMPARE.get() or ((), {}, None)
+    train_set, val_set = data or load_dataset(cfg.data, cfg.run_seed)
+    fork = _fork_epoch(cfg, train_set.n)  # a later config shares the epochs up to both forks
+    forks = {min(fork, _fork_epoch(c, train_set.n)) for c in later}
+    resumed = max((epoch for epoch in saved if epoch <= fork), default=0)
+    if resumed:  # the epochs before take their actions from this run's plan
+        run, trained = saved[resumed][0].copy(), saved[resumed][1]
+        plan = scheduler.trace(cfg.dar, train_set.n)
+        run.records = [replace(r, action=plan[r.epoch - 1].action.value) for r in run.records]
+    else:
+        params = init_params([train_set.dim, *cfg.hidden_layers, train_set.class_count],
+                             cfg.run_seed)
+        run = RunState(params, ParamSet.zeros_like(params), ParamSet.zeros_like(params),
+                       np.empty(train_set.n), scheduler.init(train_set.n), None, [], 0)
+    for epoch in range(max(resumed, 1), cfg.total_epochs + 1):
+        if epoch > resumed:
+            trained = train_epoch(cfg, train_set, val_set, run, epoch)
+            if epoch in forks and epoch not in saved:  # the state before its close
+                saved[epoch] = (run.copy(), trained)
+        close_epoch(cfg, run, epoch, *trained)
+    report = RunReport(config=dict(cfg.echo), records=tuple(run.records),
+                       final_validation_accuracy=run.records[-1].validation_accuracy,
+                       realized_cost_ratio=run.cumulative / (cfg.total_epochs * train_set.n),
+                       wall_clock_seconds=time.perf_counter() - start)
+    return report, run.params
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -242,11 +280,11 @@ _SHARED_FIELDS = ("data", "hidden_layers", "train", "batch_size", "run_seed", "t
 
 
 def compare(cfgs: Sequence[ExperimentConfig]) -> list[CompareRow]:
-    """Run shared-seed configs sequentially and tabulate cost and accuracy.
-
-    Configs must agree on everything except the policy and its drop/refresh
-    parameters; the delta column is against the first config's accuracy.
-    """
+    """Run shared-seed configs in order, one ``run_experiment`` call each, and tabulate cost and
+    accuracy. Configs must agree on everything except the policy and its drop/refresh
+    parameters; the delta column is against the first config's accuracy. The runs share the
+    data, loaded once, and train each epoch they share once: a run resumes where an earlier one
+    saved the state it forks from, so its ``wall_clock_seconds`` covers only its own call."""
     if len(cfgs) < 2:
         raise HarnessError("compare needs at least two configs")
     base = cfgs[0]
@@ -260,8 +298,10 @@ def compare(cfgs: Sequence[ExperimentConfig]) -> list[CompareRow]:
     labels = [cfg.policy if counts[cfg.policy] == 1 else f"{cfg.policy}-{i}"
               for i, cfg in enumerate(cfgs, start=1)]
     rows: list[CompareRow] = []
-    for label, cfg in zip(labels, cfgs):
-        report = run_experiment(cfg)
+    shared, saved, data = copy_context(), {}, load_dataset(base.data, base.run_seed)
+    for i, (label, cfg) in enumerate(zip(labels, cfgs), start=1):  # sharing ends with the call
+        shared.run(_COMPARE.set, (cfgs[i:], saved, data))
+        report = shared.run(run_experiment, cfg)
         acc = report.final_validation_accuracy
         reference = rows[0].final_accuracy if rows else acc
         delta = None if acc is None or reference is None else acc - reference

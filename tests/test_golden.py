@@ -58,20 +58,28 @@ def _run(argv: list[str]) -> str:
     return out.getvalue()
 
 
-def _idx_flip_run(work: Path) -> dict[str, bytes]:
-    """300 random 12 x 12 images trained under desk-default dar with flips, then exported."""
+def idx_flip_values(work: Path) -> dict:
+    """Config values of 300 random 12 x 12 images, written to ``work`` as an IDX pair, with
+    flips; the golden run trains them under desk-default dar."""
     rng = np.random.default_rng(11)
     images = rng.integers(0, 256, size=(300, 12, 12), dtype=np.uint8)
     labels = rng.integers(0, 10, size=300, dtype=np.uint8)
     image_path, label_path = work / "images", work / "labels"
     image_path.write_bytes(struct.pack(">IIII", 0x803, 300, 12, 12) + images.tobytes())
     label_path.write_bytes(struct.pack(">II", 0x801, 300) + labels.tobytes())
-    config = _config(work / "idx.txt", {
+    return {
         "data.source": "idx", "data.idx_images": image_path, "data.idx_labels": label_path,
         "data.val_fraction": "0.2", "data.augment": "horizontal_flip",
         "data.augment_prob": "0.5", "model.hidden": "16", "train.total_epochs": "8",
         "train.base_lr": "0.05", "train.momentum": "0.9", "train.weight_decay": "0.0001",
-        "train.batch_size": "32", "policy": "dar", "run.seed": "2"})
+        "train.batch_size": "32", "policy": "dar", "run.seed": "2"}
+
+
+def _idx_flip_run(work: Path) -> dict[str, bytes]:
+    """The IDX images of ``idx_flip_values`` trained under desk-default dar, then exported."""
+    values = idx_flip_values(work)
+    image_path, label_path = values["data.idx_images"], values["data.idx_labels"]
+    config = _config(work / "idx.txt", values)
     run = work / "run"
     _run(["train", "--config", config, "--preset", "desk-default", "--out", str(run)])
     _run(["export-features", "--model", str(run / "model.bin"),

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dropfresh import datasets, harness
-from dropfresh.config import build_experiment_config
+from dropfresh import datasets, harness, scheduler
+from dropfresh.config import apply_preset, build_experiment_config
 from dropfresh.datasets import Dataset, load_idx
 from dropfresh.harness import (CompareRow, HarnessError, compare, evaluate,
                                export_features, load_dataset, load_params,
@@ -18,8 +18,10 @@ from dropfresh.harness import (CompareRow, HarnessError, compare, evaluate,
                                run_experiment_with_params, save_params,
                                training_population, write_run_outputs)
 from dropfresh.model import ParamSet, forward, init_params, penultimate_features
-from dropfresh.scheduler import ActionKind, LossLedger, planned_cost, select_hardest
+from dropfresh.scheduler import ActionKind, LossLedger, planned_cost, select_hardest, trace
 from helpers import bit_equal, example_ids, save_csv, subset
+from test_acceptance import desk_dar_values, desk_values  # criterion 6's desk runs
+from test_golden import idx_flip_values
 
 
 def small_values(**overrides):
@@ -324,6 +326,119 @@ def test_compare_disambiguates_duplicate_labels():
     assert [r.label for r in rows] == ["dar-1", "uniform", "dar-3"]
     assert rows[0].delta_accuracy == 0.0
     assert rows[2].delta_accuracy == rows[2].final_accuracy - rows[0].final_accuracy
+
+
+@pytest.mark.parametrize("values", [small_dar_values(), small_values(policy="reweight")],
+                         ids=["dar", "reweight"])
+def test_a_run_is_its_epochs_trained_then_closed_in_turn(values):
+    # RunState, train_epoch and close_epoch are a run: driven by hand, they give its bytes
+    cfg = build_experiment_config(values)
+    train_set, val_set = load_dataset(cfg.data, cfg.run_seed)
+    params = init_params([train_set.dim, *cfg.hidden_layers, train_set.class_count], cfg.run_seed)
+    run = harness.RunState(params, ParamSet.zeros_like(params), ParamSet.zeros_like(params),
+                           np.empty(train_set.n), scheduler.init(train_set.n), None, [], 0)
+    for epoch in range(1, cfg.total_epochs + 1):
+        losses, val_acc = harness.train_epoch(cfg, train_set, val_set, run, epoch)
+        harness.close_epoch(cfg, run, epoch, losses, val_acc)
+    report, final = run_experiment_with_params(cfg)
+    assert metrics_lines(run.records) == metrics_lines(report.records)
+    assert run.cumulative == report.records[-1].cumulative_examples_used
+    assert bit_equal(run.params.flat, final.flat)
+
+
+def desk_configs(seed):
+    """Criterion 6's desk configs for run seed ``seed``, as the benchmark compares them."""
+    return {"uniform": build_experiment_config(desk_values(seed)),
+            "dar": build_experiment_config(desk_dar_values(seed)),
+            "reweight": build_experiment_config({**desk_values(seed), "policy": "reweight"})}
+
+
+def compared_runs(monkeypatch, cfgs):
+    """The report and final parameters of each run ``compare(cfgs)`` makes, in order."""
+    runs, inner = [], harness.run_experiment_with_params
+
+    def spy(cfg):
+        runs.append(inner(cfg))
+        return runs[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "run_experiment_with_params", spy)
+        compare(cfgs)
+    assert len(runs) == len(cfgs)
+    return runs
+
+
+def assert_same_run(got, alone):
+    assert metrics_lines(got[0].records) == metrics_lines(alone[0].records)
+    assert bit_equal(got[1].flat, alone[1].flat)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_compare_runs_each_desk_config_as_it_runs_alone(monkeypatch, seed):
+    # a run that resumes from another's saved epochs must give the bytes and the parameters
+    # of the config trained alone, whichever config comes first
+    cfgs = desk_configs(seed)
+    alone = {name: run_experiment_with_params(cfg) for name, cfg in cfgs.items()}
+    for order in (("uniform", "dar", "reweight"), ("dar", "reweight", "uniform"),
+                  ("reweight", "uniform", "dar")):
+        for name, run in zip(order, compared_runs(monkeypatch, [cfgs[n] for n in order])):
+            assert_same_run(run, alone[name])
+
+
+def _idx_flip_configs(work):
+    values = {key: str(value) for key, value in
+              apply_preset(idx_flip_values(work), "desk-default").items()}
+    return [values, {**values, "policy": "uniform"}]
+
+
+COMPARED_ALONE = {  # config values compare runs, by what they share
+    "two keep rates, one fork": lambda work: [small_dar_values(),
+                                              small_dar_values(**{"dar.keep_rate": "0.8"})],
+    "keep rate 1, every epoch shared": lambda work: [
+        small_values(policy="uniform"), small_dar_values(**{"dar.keep_rate": "1.0"})],
+    "no validation": lambda work: [small_values(policy=policy, **{"data.val_fraction": "0"})
+                                   for policy in ("uniform", "reweight")] + [
+        small_dar_values(**{"data.val_fraction": "0"})],
+    "golden idx flips": _idx_flip_configs,
+}
+
+
+@pytest.mark.parametrize("case", COMPARED_ALONE)
+def test_compare_runs_each_config_as_it_runs_alone(monkeypatch, tmp_path, case):
+    cfgs = [build_experiment_config(values) for values in COMPARED_ALONE[case](tmp_path)]
+    alone = [run_experiment_with_params(cfg) for cfg in cfgs]
+    for order in (cfgs, cfgs[::-1]):
+        runs = compared_runs(monkeypatch, order)
+        for run, cfg in zip(runs, order):
+            assert_same_run(run, alone[cfgs.index(cfg)])
+    if case.startswith("keep rate 1"):  # a run resumed at the end relabels a refresh or a keep
+        assert "refresh" in [record.action for record in alone[1][0].records]
+
+
+def test_compare_trains_each_epoch_its_runs_share_once(monkeypatch):
+    cfgs = desk_configs(1)
+    population = training_population(cfgs["uniform"])
+
+    def steps(cfg, first=1):  # training batches from epoch ``first`` on, by the plan
+        return sum(math.ceil(row.size / cfg.batch_size)
+                   for row in trace(cfg.dar, population)[first - 1:])
+
+    calls, inner = [], harness.model.loss_and_gradients
+    monkeypatch.setattr(harness.model, "loss_and_gradients",
+                        lambda *args, **kwargs: calls.append(1) or inner(*args, **kwargs))
+    loads, load = [], harness.load_dataset
+    monkeypatch.setattr(harness, "load_dataset", lambda *args: loads.append(1) or load(*args))
+    compare(list(cfgs.values()))
+    assert len(loads) == 1  # the runs share the data too
+    # uniform trains every epoch; dar resumes after its last full-pool epoch, reweight after 1
+    dar_fork = next(row.epoch for row in trace(cfgs["dar"].dar, population)
+                    if row.size < population) - 1
+    shared = steps(cfgs["uniform"]) + steps(cfgs["dar"], dar_fork + 1) + steps(
+        cfgs["reweight"], 2)
+    assert len(calls) == shared < sum(map(steps, cfgs.values()))  # 3,209 against 3,729
+    calls.clear()
+    run_experiment(cfgs["dar"])
+    assert len(calls) == steps(cfgs["dar"]) and len(loads) == 2  # alone, it trains all 1,129
 
 
 def test_export_features_csv(tmp_path):

@@ -2,6 +2,7 @@ import ast
 import functools
 import importlib
 import importlib.util
+import math
 import os
 import re
 import shlex
@@ -11,7 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from dropfresh import harness
 from dropfresh.cli import main
+from dropfresh.config import build_experiment_config
+from dropfresh.scheduler import trace
+from test_harness import small_dar_values, small_values
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -46,6 +51,51 @@ def test_every_dropfresh_name_the_benchmark_reaches_resolves():
                 assert hasattr(module, node.attr), f"{path.name}:{node.lineno}: {name}"
                 reached.add(name)
     assert {"harness.metrics_lines", "harness.gen_gaussian", "datasets.load_idx"} <= reached
+
+
+def test_compare_makes_one_run_experiment_call_per_config_and_keeps_no_state(
+        tmp_path, monkeypatch):
+    # the benchmark collects compare's reports by wrapping harness.run_experiment, and its
+    # idx-augment rounds train one config over and over: saved epochs must not outlive compare
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    steps, inner = [], harness.model.loss_and_gradients
+    monkeypatch.setattr(harness.model, "loss_and_gradients",
+                        lambda *args, **kwargs: steps.append(1) or inner(*args, **kwargs))
+
+    def trains_every_batch(cfg):
+        steps.clear()
+        harness.run_experiment(cfg)
+        population = harness.training_population(cfg)
+        return len(steps) == sum(math.ceil(row.size / cfg.batch_size)
+                                 for row in trace(cfg.dar, population))
+
+    cfgs = [build_experiment_config(values) for values in (
+        small_values(policy="uniform"), small_dar_values(), small_values(policy="reweight"))]
+    with workloads.captured_reports() as reports:
+        rows = harness.compare(cfgs)
+    assert [report.config["policy"] for report in reports] == ["uniform", "dar", "reweight"]
+    assert [(row.cost_ratio, row.final_accuracy) for row in rows] == [
+        (report.realized_cost_ratio, report.final_validation_accuracy) for report in reports]
+    assert all(trains_every_batch(cfg) for cfg in cfgs)
+
+    # on two contradictory 1e100 rows and 30 easy ones, loss-proportional weights overflow an
+    # update in epoch 4 while uniform training stays finite
+    path = tmp_path / "diverges.csv"
+    path.write_text("0,1e100\n1,1e100\n" + "0,0\n" * 30)
+    values = {"data.source": "csv", "data.csv": str(path), "train.total_epochs": "4",
+              "train.base_lr": "1e108", "train.batch_size": "32"}
+    uniform, rew = (build_experiment_config({**values, "policy": policy})
+                    for policy in ("uniform", "reweight"))
+    diverged = "^epoch 4, examples .*overflow"
+    with workloads.captured_reports() as reports, pytest.raises(harness.HarnessError,
+                                                                match=diverged):
+        harness.compare([uniform, rew])
+    assert len(reports) == 1 and trains_every_batch(uniform)
+    steps.clear()
+    with pytest.raises(harness.HarnessError, match=diverged):
+        harness.run_experiment(rew)
+    assert len(steps) == 4  # epochs 1-3 and the batch that overflowed, not a resumed epoch 1
 
 
 def test_every_third_party_import_is_a_declared_dependency():
@@ -129,18 +179,22 @@ def test_readme_python_api_example_runs():
 
 
 def test_readme_quick_start_cost_prints_what_train_runs(tmp_path, monkeypatch, capsys):
-    # the quick start previews a schedule with cost, then trains it: run both as written
+    # the quick start previews a schedule with cost, then trains it and compares it with
+    # uniform training: run all three as written
     section = (ROOT / "README.md").read_text().split("\n## Quick start\n", 1)[1].split("\n## ")[0]
     ini, sh = (re.findall(rf"^```{kind}\n(.*?)^```$", section, flags=re.M | re.S)
                for kind in ("ini", "sh"))
-    assert len(ini) == 1 and len(sh) == 1, (ini, sh)
+    assert len(ini) == 2 and len(sh) == 1, (ini, sh)
     (tmp_path / "desk.txt").write_text(ini[0])
+    (tmp_path / "dar.txt").write_text(ini[0] + ini[1])  # desk.txt's lines, then its own
     monkeypatch.chdir(tmp_path)
     printed = {}
-    for command in ("cost", "train"):
+    for command in ("cost", "train", "compare"):
         line, = (line for line in sh[0].splitlines() if line.startswith(f"dropfresh {command} "))
         assert main(shlex.split(line)[1:]) == 0
-        printed[command] = capsys.readouterr().out.splitlines()[-1]
-    summary = dict(field.split("=", 1) for field in printed["train"].split())
-    assert summary["realized_cost"] == printed["cost"]
-    assert float(printed["cost"]) < 1.0  # the preview is of a drop-and-refresh schedule
+        printed[command] = capsys.readouterr().out.splitlines()
+    summary = dict(field.split("=", 1) for field in printed["train"][-1].split())
+    assert summary["realized_cost"] == printed["cost"][-1]
+    assert float(printed["cost"][-1]) < 1.0  # the preview is of a drop-and-refresh schedule
+    rows = {line.split(",")[0]: line.split(",")[1] for line in printed["compare"][1:]}
+    assert rows == {"uniform": "1.0", "dar": printed["cost"][-1]}
