@@ -19,12 +19,13 @@ _MEAN_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
-    """Positive per-example weights with mean one (within 1e-12)."""
+    """Positive per-example weights with mean one (within 1e-12), kept as a read-only copy."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64)
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.size == 0:
             raise ValueError(f"weights must be a non-empty vector, got shape {values.shape}")

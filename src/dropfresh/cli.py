@@ -76,7 +76,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     population = training_population(cfg)
     rows = scheduler.trace(cfg.dar, population)
     print(*scheduler.trace_csv_lines(rows), sep="\n")
-    print(repr(scheduler._cost_ratio(rows, population)))
+    print(repr(scheduler.cost_ratio(rows, population)))
     return 0
 
 

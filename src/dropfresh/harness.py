@@ -15,6 +15,7 @@ import time
 from collections import Counter
 from contextvars import ContextVar, copy_context
 from dataclasses import asdict, dataclass, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -115,36 +116,35 @@ def metrics_lines(records: Sequence[EpochRecord]) -> list[str]:
 
 @dataclass
 class RunState:
-    """What a run carries between epochs, plus scratch ``grads`` and ``loss_by_id`` it refills."""
+    """What a run carries from one epoch to the next; the plan gives the rest of its records."""
     params: ParamSet
     velocity: ParamSet
-    grads: ParamSet
-    loss_by_id: np.ndarray  # each epoch writes every active id's loss
-    schedule: scheduler.SchedulerState
+    schedule: scheduler.SchedulerState  # ``schedule.epoch`` epochs are closed
     weights: WeightVector | None  # reweight policy only
-    records: list[EpochRecord]
-    cumulative: int
+    closed: list[tuple[float, float | None]]  # each closed epoch's (mean loss, val accuracy)
 
-    def copy(self) -> RunState:  # trains apart from this state; they share scratch, so in turn
+    def copy(self) -> RunState:  # trains apart from this state: no writable array is shared
         return replace(self, params=self.params.copy(), velocity=self.velocity.copy(),
-                       records=list(self.records))
+                       closed=list(self.closed))
 
 
 def train_epoch(cfg: ExperimentConfig, train_set: Dataset, val_set: Dataset | None,
-                run: RunState, epoch: int) -> tuple[np.ndarray, float | None]:
-    """Train ``epoch`` on ``run``'s pool: its losses in pool order and validation accuracy."""
+                run: RunState) -> tuple[np.ndarray, float | None]:
+    """Train the next epoch on ``run``'s pool: its losses in pool order and validation accuracy."""
+    epoch = run.schedule.epoch + 1
     epoch_key = datasets.epoch_seed(cfg.run_seed, epoch)
     plan = datasets.epoch_batches(run.schedule.active_ids, cfg.batch_size, cfg.run_seed, epoch)
+    grads, loss_by_id = ParamSet.zeros_like(run.params), np.empty(train_set.n)
     # an overflow anywhere in a batch, its loss, gradients or update raises here
     with np.errstate(over="raise", invalid="raise"):
         for batch_ids in plan:
             try:
                 batch = datasets.make_batch(train_set, batch_ids, cfg.data.augment, epoch_key)
                 sample_weights = run.weights.values[batch.ids] if run.weights is not None else None
-                run.loss_by_id[batch_ids] = model.loss_and_gradients(
+                loss_by_id[batch_ids] = model.loss_and_gradients(
                     run.params, batch.features, batch.labels, cfg.train.weight_decay,
-                    sample_weights, out=run.grads)[0]
-                model.sgd_step(run.params, run.grads, cfg.train, epoch, run.velocity)
+                    sample_weights, out=grads)[0]
+                model.sgd_step(run.params, grads, cfg.train, epoch, run.velocity)
             except (ValueError, FloatingPointError) as exc:
                 raise HarnessError(
                     f"epoch {epoch}, examples {batch_ids[:3].tolist()}...: {exc}") from exc
@@ -152,21 +152,16 @@ def train_epoch(cfg: ExperimentConfig, train_set: Dataset, val_set: Dataset | No
         val_acc = evaluate(run.params, val_set) if val_set is not None else None
     except FloatingPointError as exc:
         raise HarnessError(f"epoch {epoch}, validation: {exc}") from exc
-    return run.loss_by_id[run.schedule.active_ids], val_acc  # the plan permutes the pool
+    return loss_by_id[run.schedule.active_ids], val_acc  # the plan permutes the pool
 
 
-def close_epoch(cfg: ExperimentConfig, run: RunState, epoch: int, losses: np.ndarray,
+def close_epoch(cfg: ExperimentConfig, run: RunState, losses: np.ndarray,
                 val_acc: float | None) -> None:
-    """End ``epoch`` under ``cfg``: its ``reweight`` and schedule action, then its record."""
-    run.cumulative += losses.size
-    mean_loss = math.fsum(losses.tolist()) / losses.size  # exactly rounded, in any order
+    """Close the epoch ``train_epoch`` trained: its action, reweight weights, loss and accuracy."""
+    run.schedule, _ = scheduler.end_of_epoch(run.schedule, cfg.dar, losses)  # checks the losses
     if cfg.policy == "reweight":
         run.weights = reweight(losses)  # the pool is the whole population: id order
-    run.schedule, action = scheduler.end_of_epoch(run.schedule, cfg.dar, losses)
-    run.records.append(EpochRecord(
-        epoch=epoch, active_count=losses.size, mean_train_loss=mean_loss,
-        validation_accuracy=val_acc, learning_rate=lr_at(cfg.train, epoch),
-        cumulative_examples_used=run.cumulative, action=action.value))
+    run.closed.append((math.fsum(losses.tolist()) / losses.size, val_acc))  # exactly rounded
 
 
 def _fork_epoch(cfg: ExperimentConfig, population: int) -> int:
@@ -182,24 +177,27 @@ def run_experiment_with_params(cfg: ExperimentConfig) -> tuple[RunReport, ParamS
     fork = _fork_epoch(cfg, train_set.n)  # a later config shares the epochs up to both forks
     forks = {min(fork, _fork_epoch(c, train_set.n)) for c in later}
     resumed = max((epoch for epoch in saved if epoch <= fork), default=0)
-    if resumed:  # the epochs before take their actions from this run's plan
+    if resumed:  # saved after training epoch ``resumed``, before its close
         run, trained = saved[resumed][0].copy(), saved[resumed][1]
-        plan = scheduler.trace(cfg.dar, train_set.n)
-        run.records = [replace(r, action=plan[r.epoch - 1].action.value) for r in run.records]
+        close_epoch(cfg, run, *trained)
     else:
         params = init_params([train_set.dim, *cfg.hidden_layers, train_set.class_count],
                              cfg.run_seed)
-        run = RunState(params, ParamSet.zeros_like(params), ParamSet.zeros_like(params),
-                       np.empty(train_set.n), scheduler.init(train_set.n), None, [], 0)
-    for epoch in range(max(resumed, 1), cfg.total_epochs + 1):
-        if epoch > resumed:
-            trained = train_epoch(cfg, train_set, val_set, run, epoch)
-            if epoch in forks and epoch not in saved:  # the state before its close
-                saved[epoch] = (run.copy(), trained)
-        close_epoch(cfg, run, epoch, *trained)
-    report = RunReport(config=dict(cfg.echo), records=tuple(run.records),
-                       final_validation_accuracy=run.records[-1].validation_accuracy,
-                       realized_cost_ratio=run.cumulative / (cfg.total_epochs * train_set.n),
+        run = RunState(params, ParamSet.zeros_like(params), scheduler.init(train_set.n), None, [])
+    while (epoch := run.schedule.epoch + 1) <= cfg.total_epochs:
+        trained = train_epoch(cfg, train_set, val_set, run)
+        if epoch in forks and epoch not in saved:  # the state before its close
+            saved[epoch] = (run.copy(), trained)
+        close_epoch(cfg, run, *trained)
+    plan = scheduler.trace(cfg.dar, train_set.n)
+    records = tuple(EpochRecord(
+        epoch=row.epoch, active_count=row.size, mean_train_loss=loss, validation_accuracy=acc,
+        learning_rate=lr_at(cfg.train, row.epoch), cumulative_examples_used=used,
+        action=row.action.value) for row, used, (loss, acc) in zip(
+            plan, accumulate(row.size for row in plan), run.closed))
+    report = RunReport(config=dict(cfg.echo), records=records,
+                       final_validation_accuracy=records[-1].validation_accuracy,
+                       realized_cost_ratio=scheduler.cost_ratio(plan, train_set.n),
                        wall_clock_seconds=time.perf_counter() - start)
     return report, run.params
 

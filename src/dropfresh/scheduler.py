@@ -243,10 +243,11 @@ def trace(config: DarConfig, population: int) -> list[TraceEntry]:
 
 def planned_cost(config: DarConfig, population: int) -> float:
     """Examples the schedule will touch, as a fraction of full-data training."""
-    return _cost_ratio(trace(config, population), population)
+    return cost_ratio(trace(config, population), population)
 
 
-def _cost_ratio(rows: list[TraceEntry], population: int) -> float:
+def cost_ratio(rows: list[TraceEntry], population: int) -> float:
+    """Example-visits of ``rows``' epochs over as many full-pool epochs of ``population``."""
     return sum(row.size for row in rows) / (len(rows) * population)
 
 

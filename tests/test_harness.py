@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import orjson
@@ -328,22 +329,61 @@ def test_compare_disambiguates_duplicate_labels():
     assert rows[2].delta_accuracy == rows[2].final_accuracy - rows[0].final_accuracy
 
 
+def new_run(cfg, train_set):
+    """The state of ``cfg``'s run before its first epoch."""
+    params = init_params([train_set.dim, *cfg.hidden_layers, train_set.class_count], cfg.run_seed)
+    return harness.RunState(params, ParamSet.zeros_like(params), scheduler.init(train_set.n),
+                            None, [])
+
+
+def next_epoch(cfg, train_set, val_set, run):
+    harness.close_epoch(cfg, run, *harness.train_epoch(cfg, train_set, val_set, run))
+
+
 @pytest.mark.parametrize("values", [small_dar_values(), small_values(policy="reweight")],
                          ids=["dar", "reweight"])
 def test_a_run_is_its_epochs_trained_then_closed_in_turn(values):
-    # RunState, train_epoch and close_epoch are a run: driven by hand, they give its bytes
+    # RunState, train_epoch and close_epoch are a run: driven by hand, each call takes its epoch
+    # from the state, and the closed epochs are the report's
     cfg = build_experiment_config(values)
     train_set, val_set = load_dataset(cfg.data, cfg.run_seed)
-    params = init_params([train_set.dim, *cfg.hidden_layers, train_set.class_count], cfg.run_seed)
-    run = harness.RunState(params, ParamSet.zeros_like(params), ParamSet.zeros_like(params),
-                           np.empty(train_set.n), scheduler.init(train_set.n), None, [], 0)
-    for epoch in range(1, cfg.total_epochs + 1):
-        losses, val_acc = harness.train_epoch(cfg, train_set, val_set, run, epoch)
-        harness.close_epoch(cfg, run, epoch, losses, val_acc)
+    run = new_run(cfg, train_set)
+    for _ in range(cfg.total_epochs):
+        next_epoch(cfg, train_set, val_set, run)
     report, final = run_experiment_with_params(cfg)
-    assert metrics_lines(run.records) == metrics_lines(report.records)
-    assert run.cumulative == report.records[-1].cumulative_examples_used
+    assert run.schedule.epoch == cfg.total_epochs
+    assert run.closed == [(r.mean_train_loss, r.validation_accuracy) for r in report.records]
     assert bit_equal(run.params.flat, final.flat)
+    with pytest.raises(ValueError, match=f"^epoch {cfg.total_epochs + 1} exceeds total_epochs"):
+        next_epoch(cfg, train_set, val_set, run)  # the plan has no epoch past its last
+
+
+@pytest.mark.parametrize("values", [small_dar_values(), small_values(policy="reweight")],
+                         ids=["dar", "reweight"])
+def test_a_copied_run_shares_no_writable_array_and_trains_apart(values):
+    # compare resumes later runs from copies of a saved state, which must stay as saved
+    assert [f.name for f in fields(harness.RunState)] == [
+        "params", "velocity", "schedule", "weights", "closed"]
+    cfg = build_experiment_config(values)
+    train_set, val_set = load_dataset(cfg.data, cfg.run_seed)
+    run = new_run(cfg, train_set)
+    next_epoch(cfg, train_set, val_set, run)  # the next close drops (dar) or reweights again
+    copy = run.copy()
+
+    def arrays(state):
+        return [a for params in (state.params, state.velocity)
+                for a in (params.flat, *params.weights, *params.biases)] + [
+            state.schedule.active_ids] + ([state.weights.values] if state.weights else [])
+
+    assert (run.weights is None) == (cfg.policy == "dar")
+    for mine in arrays(copy):
+        for theirs in arrays(run):
+            assert not (np.shares_memory(mine, theirs)
+                        and (mine.flags.writeable or theirs.flags.writeable))
+    before = [a.copy() for a in arrays(run)], list(run.closed)
+    next_epoch(cfg, train_set, val_set, copy)
+    assert copy.schedule.epoch == 2 and run.schedule.epoch == 1
+    assert all(map(bit_equal, arrays(run), before[0])) and run.closed == before[1]
 
 
 def desk_configs(seed):

@@ -98,6 +98,21 @@ def test_compare_makes_one_run_experiment_call_per_config_and_keeps_no_state(
     assert len(steps) == 4  # epochs 1-3 and the batch that overflowed, not a resumed epoch 1
 
 
+def test_every_benchmark_workload_passes_its_own_check_at_its_tiny_size(tmp_path, monkeypatch):
+    # the benchmark refuses a change whose outputs fail a workload's check, and this suite does
+    # not collect perfbench/: run one whole cycle of each workload's rounds here
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    bench = importlib.import_module("test_perfbench")  # its TINY sizes, run and workloads
+    assert set(bench.workloads.WORKLOADS) == set(bench.TINY)
+    for name, make in bench.workloads.WORKLOADS.items():
+        workload = make(tmp_path / name, 3, **bench.TINY[name])
+        workload.dir.mkdir()
+        workload.prepare()
+        _, _, outputs = bench.run.timed_rounds(workload, 0.0, warmup=False)
+        assert len(outputs) == workload.cycle and workload.failed == 0, name
+        assert workload.check(outputs)[0] == [], name
+
+
 def test_every_third_party_import_is_a_declared_dependency():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     imported = set()
