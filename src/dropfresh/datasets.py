@@ -45,17 +45,24 @@ class Dataset:
     def __init__(self, features: np.ndarray, labels: np.ndarray, class_count: int,
                  image_shape: tuple[int, int, int] | None = None, pixels: bool = False) -> None:
         self.stored = np.asarray(features, dtype=None if pixels else np.float64)
-        self.labels = np.asarray(labels, dtype=np.int64)
+        labels = np.asarray(labels)
         self.class_count, self.image_shape, self.pixels = class_count, image_shape, pixels
         if pixels and self.stored.dtype != np.uint8:
             raise DatasetError(f"pixels must be uint8, got {self.stored.dtype}")
         if self.stored.ndim != 2 or self.stored.shape[0] < 1:
             raise DatasetError(f"features must be (n, d) with n >= 1, got {self.stored.shape}")
-        if self.labels.shape != (self.n,):
-            raise DatasetError(f"labels shape {self.labels.shape} != ({self.n},)")
-        if not pixels and not np.isfinite(self.stored).all():
+        if labels.shape != (self.n,):
+            raise DatasetError(f"labels shape {labels.shape} != ({self.n},)")
+        if not pixels and not np.isfinite(self.stored).all():  # pixels are never read here
             raise DatasetError("non-finite feature values")
-        _check_labels(self.labels, self.class_count)
+        if not np.issubdtype(labels.dtype, np.integer):  # int64 would truncate 1.7 to 1
+            raise DatasetError(f"labels must be integers, got dtype {labels.dtype}")
+        self.labels = labels.astype(np.int64, copy=False)
+        if class_count < 2:
+            raise DatasetError(f"class_count must be >= 2, got {class_count}")
+        if self.labels.min() < 0 or self.labels.max() >= class_count:
+            raise DatasetError(f"labels must lie in [0, {class_count}), found "
+                               f"[{self.labels.min()}, {self.labels.max()}]")
         if self.image_shape is not None:
             h, w, c = self.image_shape
             if h * w * c != self.dim:
@@ -84,70 +91,49 @@ class Dataset:
         return np.divide(stored_rows, 255.0, dtype=np.float64) if self.pixels else stored_rows
 
     def take(self, *row_sets: Union[Sequence[int], slice]) -> list["Dataset"]:
-        """A dataset of each row set's rows, re-indexed from zero; ``slice(None)`` is every row."""
+        """A dataset of each row set's rows, re-indexed from zero: an id array copies its rows,
+        ``slice(None)`` shares every row (a ``load_idx`` mapping stays a mapping)."""
         return [Dataset(self.stored[ids], self.labels[ids], self.class_count, self.image_shape,
                         pixels=self.pixels) for ids in row_sets]
-
-
-def _check_labels(labels: np.ndarray, class_count: int) -> None:
-    if class_count < 2:
-        raise DatasetError(f"class_count must be >= 2, got {class_count}")
-    if labels.min() < 0 or labels.max() >= class_count:
-        raise DatasetError(
-            f"labels must lie in [0, {class_count}), found [{labels.min()}, {labels.max()}]")
 
 
 _IDX_IMAGE_MAGIC = 0x00000803
 _IDX_LABEL_MAGIC = 0x00000801
 
 
-class IdxPair:
-    """A big-endian IDX image/label pair, checked from the image file's header and size and the
-    whole label file when built; ``take`` reads the pixels once for all its row sets."""
-
-    def __init__(self, image_path: Union[str, Path], label_path: Union[str, Path],
-                 class_count: int | None = None) -> None:
-        class_count = 10 if class_count is None else class_count  # MNIST's ten digits
-        dims = []
-        for path, magic, rank in ((Path(image_path), _IDX_IMAGE_MAGIC, 3),
-                                  (Path(label_path), _IDX_LABEL_MAGIC, 1)):
-            header = 4 + 4 * rank
-            with path.open("rb") as fh:
-                raw = fh.read(header if rank == 3 else -1)  # the label file is read whole
-            if len(raw) < 4:
-                raise TruncatedPayloadError(f"{path}: file shorter than its 4-byte magic")
-            found = int.from_bytes(raw[:4], "big")
-            if found != magic:
-                raise BadMagicError(f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}")
-            if len(raw) < header:
-                raise TruncatedPayloadError(f"{path}: file shorter than its {header}-byte header")
-            dims += [int.from_bytes(raw[4 + 4 * i:8 + 4 * i], "big") for i in range(rank)]
-            expected, size = math.prod(dims[-rank:]), path.stat().st_size - header
-            if size != expected:
-                raise TruncatedPayloadError(
-                    f"{path}: expected {expected} payload bytes, found {size}")
-        n_img, height, width, n_lbl = dims
-        if n_img != n_lbl:
-            raise CountMismatchError(
-                f"{image_path} holds {n_img} images but {label_path} holds {n_lbl} labels")
-        if n_img < 1:
-            raise DatasetError(f"{image_path}: empty dataset")
-        self.labels = np.frombuffer(raw, np.uint8, offset=8).astype(np.int64)  # label file
-        _check_labels(self.labels, class_count)
-        self.image_path, self.class_count = Path(image_path), class_count
-        self.n, self.dim, self.image_shape = n_img, height * width, (height, width, 1)
-
-    def take(self, *row_sets: Union[Sequence[int], slice]) -> list[Dataset]:
-        """``Dataset.take`` of the uint8 pixels, read once for all the row sets."""
-        pixels = np.fromfile(self.image_path, np.uint8, offset=16).reshape(self.n, self.dim)
-        return [Dataset(pixels[ids], self.labels[ids], self.class_count, self.image_shape,
-                        pixels=True) for ids in row_sets]
-
-
 def load_idx(image_path: Union[str, Path], label_path: Union[str, Path],
              class_count: int | None = None) -> Dataset:
-    """Big-endian IDX image/label pair; uint8 pixels, read as float64 in [0, 1]."""
-    return IdxPair(image_path, label_path, class_count).take(slice(None))[0]
+    """Big-endian IDX image/label pair, checked from the image file's header and size and the
+    whole label file; its uint8 pixels, read as float64 in [0, 1], are a read-only mapping of
+    the image file, so no pixel is read until rows are used."""
+    class_count = 10 if class_count is None else class_count  # MNIST's ten digits
+    dims = []
+    for path, magic, rank in ((Path(image_path), _IDX_IMAGE_MAGIC, 3),
+                              (Path(label_path), _IDX_LABEL_MAGIC, 1)):
+        header = 4 + 4 * rank
+        with path.open("rb") as fh:
+            raw = fh.read(header if rank == 3 else -1)  # the label file is read whole
+        if len(raw) < 4:
+            raise TruncatedPayloadError(f"{path}: file shorter than its 4-byte magic")
+        found = int.from_bytes(raw[:4], "big")
+        if found != magic:
+            raise BadMagicError(f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}")
+        if len(raw) < header:
+            raise TruncatedPayloadError(f"{path}: file shorter than its {header}-byte header")
+        dims += [int.from_bytes(raw[4 + 4 * i:8 + 4 * i], "big") for i in range(rank)]
+        expected, size = math.prod(dims[-rank:]), path.stat().st_size - header
+        if size != expected:
+            raise TruncatedPayloadError(
+                f"{path}: expected {expected} payload bytes, found {size}")
+    n_img, height, width, n_lbl = dims
+    if n_img != n_lbl:
+        raise CountMismatchError(
+            f"{image_path} holds {n_img} images but {label_path} holds {n_lbl} labels")
+    if n_img < 1:
+        raise DatasetError(f"{image_path}: empty dataset")
+    pixels = np.memmap(image_path, np.uint8, "r", offset=16, shape=(n_img, height * width))
+    return Dataset(pixels, np.frombuffer(raw, np.uint8, offset=8), class_count,
+                   (height, width, 1), pixels=True)  # ``raw`` is the label file
 
 
 def load_csv(path: Union[str, Path], class_count: int | None = None) -> Dataset:
@@ -199,8 +185,12 @@ class SyntheticSpec:
     class_count = property(lambda self: len(self.counts))
 
     def __post_init__(self) -> None:
-        if not self.counts or not all(1 <= c <= sys.maxsize for c in self.counts):
-            raise DatasetError(f"counts must all be in [1, {sys.maxsize}], got {self.counts}")
+        if not self.counts or not all(isinstance(c, (int, np.integer)) and 1 <= c <= sys.maxsize
+                                      for c in self.counts):
+            raise DatasetError(
+                f"counts must all be integers in [1, {sys.maxsize}], got {self.counts!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise DatasetError(f"seed must be an integer >= 0, got {self.seed!r}")
         if len(self.means) != len(self.counts):
             raise DatasetError(
                 f"counts must have one entry per class mean ({len(self.means)}), got {self.counts}")

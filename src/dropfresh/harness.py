@@ -24,7 +24,7 @@ import numpy as np
 from . import datasets, model, scheduler
 from .baselines import WeightVector, reweight
 from .config import DataConfig, ExperimentConfig
-from .datasets import Dataset, IdxPair, SyntheticSpec, gen_gaussian, load_csv
+from .datasets import Dataset, SyntheticSpec, gen_gaussian, load_csv, load_idx
 from .model import ParamSet, init_params, lr_at
 
 _SPLIT_STREAM = 1
@@ -39,15 +39,12 @@ class HarnessError(RuntimeError):
     pass
 
 
-def _open(paths: tuple[str, ...], class_count: int | None) -> Dataset | IdxPair:
+def _open(paths: tuple[str, ...], class_count: int | None) -> Dataset:
     """One path is a CSV file, two an IDX image/label pair."""
-    if len(paths) == 1:
-        return load_csv(paths[0], class_count)
-    return IdxPair(*paths, class_count)
+    return load_csv(paths[0], class_count) if len(paths) == 1 else load_idx(*paths, class_count)
 
 
-def _plan(data: DataConfig, seed: int) -> tuple[Dataset | IdxPair | SyntheticSpec, list,
-                                                 Dataset | IdxPair | None]:
+def _plan(data: DataConfig, seed: int) -> tuple[Dataset | SyntheticSpec, list, Dataset | None]:
     """Training source, its row sets (training ids, then validation ids from the split stream)
     and the explicit validation source, if any; no data is generated, nor IDX pixels read."""
     base = _open(data.paths, data.class_count) if data.paths else data.synthetic
@@ -68,7 +65,7 @@ def load_dataset(data: DataConfig, run_seed: int) -> tuple[Dataset, Dataset | No
     """Training set plus optional validation set, re-indexed from zero."""
     base, row_sets, val = _plan(data, run_seed)
     sets = (base if data.paths else gen_gaussian(base)).take(*row_sets) + (
-        [] if val is None else val.take(slice(None)))
+        [] if val is None else [val])
     return sets[0], sets[1] if len(sets) > 1 else None
 
 
@@ -132,6 +129,8 @@ def train_epoch(cfg: ExperimentConfig, train_set: Dataset, val_set: Dataset | No
                 run: RunState) -> tuple[np.ndarray, float | None]:
     """Train the next epoch on ``run``'s pool: its losses in pool order and validation accuracy."""
     epoch = run.schedule.epoch + 1
+    if epoch > cfg.total_epochs:  # end_of_epoch's refusal, before any parameter moves
+        raise ValueError(f"epoch {epoch} exceeds total_epochs {cfg.total_epochs}")
     epoch_key = datasets.epoch_seed(cfg.run_seed, epoch)
     plan = datasets.epoch_batches(run.schedule.active_ids, cfg.batch_size, cfg.run_seed, epoch)
     grads, loss_by_id = ParamSet.zeros_like(run.params), np.empty(train_set.n)

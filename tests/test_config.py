@@ -418,11 +418,14 @@ def refuse_data_reads(patch):
     ("paths", lambda: DataConfig(paths=("a.csv", "b.csv", "c.csv"))),
     ("paths", lambda: DataConfig()),
     ("augment", lambda: replace(API_DATA, augment=HorizontalFlip(0.5))),
+    ("seed", lambda: replace(API_SPEC, seed=1.5)),
+    ("seed", lambda: replace(API_SPEC, seed=-1)),
+    ("counts", lambda: replace(API_SPEC, counts=(3.0, 3.0, 3.0))),
 ], ids=["policy-DAR", "run_seed-1.5", "run_seed--1", "batch_size-2.5", "batch_size-0",
         "hidden_layers-2.5", "hidden_layers-0", "hidden_layers--3", "lr_milestones-7",
         "val_fraction-0.9", "val_fraction--0.1", "val_fraction-nan", "val_fraction-and-val_paths",
         "class_count-synthetic", "paths-and-synthetic", "paths-three", "paths-none",
-        "augment-flip-synthetic"])
+        "augment-flip-synthetic", "seed-1.5", "seed--1", "counts-3.0"])
 def test_a_directly_built_config_refuses_a_bad_field_naming_it(monkeypatch, field, build):
     refuse_data_reads(monkeypatch)
     with pytest.raises(ValueError, match=rf"^{field} "):

@@ -3,13 +3,13 @@ import math
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dropfresh.datasets import (BadMagicError, Batch, CountMismatchError, Dataset,
-                                DatasetError, GaussianNoise, HorizontalFlip, IdxPair,
-                                NoAugment, SyntheticSpec, TruncatedPayloadError,
+                                DatasetError, GaussianNoise, HorizontalFlip, NoAugment, SyntheticSpec, TruncatedPayloadError,
                                 epoch_batches, epoch_seed, gen_gaussian, load_csv, load_idx,
                                 make_batch)
 from dropfresh.datasets import _mix, _uniforms
@@ -102,23 +102,33 @@ def test_load_idx_pixels_are_bytes_over_255_bit_for_bit(tmp_path):
     expected = np.array([u / 255.0 for u in range(256)]).reshape(16, 16)
     assert load_idx(image_path, label_path).features.tobytes() == expected.tobytes()
     ids = np.array([3, 0, 15, 7])
-    rows, pair = IdxPair(image_path, label_path).take(ids, [1, 2])
+    rows, pair = load_idx(image_path, label_path).take(ids, [1, 2])
     assert rows.features.tobytes() == expected[ids].tobytes()
     assert rows.labels.tolist() == labels[ids].tolist() and rows.image_shape == (4, 4, 1)
     assert pair.features.tobytes() == expected[[1, 2]].tobytes()
 
 
-def test_idx_pair_reads_no_pixels_until_take(idx_pair, monkeypatch):
-    image_path, label_path, _, _ = idx_pair
-    pixels_read = []
-    real_fromfile = np.fromfile
-    monkeypatch.setattr(np, "fromfile", lambda *a, **k: pixels_read.append(a) or
-                        real_fromfile(*a, **k))
-    pair = IdxPair(image_path, label_path, class_count=10)
-    assert (pair.n, pair.dim, pair.image_shape) == (3, 4, (2, 2, 1))
-    assert pair.labels.tolist() == [3, 0, 9] and not pixels_read
-    pair.take(slice(None), [0], [2, 1])
-    assert len(pixels_read) == 1  # one read for every row set
+def mapping(array):
+    """The np.memmap an array's memory belongs to, or None."""
+    while array is not None and not isinstance(array, np.memmap):
+        array = array.base if isinstance(array, np.ndarray) else None
+    return array
+
+
+def test_load_idx_maps_the_pixels_read_only_and_take_copies_the_rows_it_selects(idx_pair):
+    # the pixels are not read when the Dataset is built: they are a mapping of the image file
+    image_path, label_path, images, _ = idx_pair
+    ds = load_idx(image_path, label_path)
+    mapped = mapping(ds.stored)
+    assert (Path(mapped.filename), mapped.offset, mapped.mode) == (image_path.resolve(), 16, "r")
+    assert ds.stored.dtype == np.uint8 and not ds.stored.flags.writeable
+    assert np.array_equal(ds.stored, images.reshape(3, 4)) and ds.labels.tolist() == [3, 0, 9]
+    with pytest.raises(ValueError, match="read-only"):
+        ds.stored[0, 0] = 1
+    whole, picked = ds.take(slice(None), [2, 1])
+    assert mapping(whole.stored) is mapped and not whole.stored.flags.writeable
+    assert mapping(picked.stored) is None and picked.stored.flags.writeable
+    assert np.array_equal(picked.stored, images[[2, 1]].reshape(2, 4))
 
 
 def test_csv_round_trip(tmp_path):
@@ -187,6 +197,17 @@ def test_dataset_validation():
     with pytest.raises(DatasetError, match="n >= 1"):
         Dataset(np.ones((0, 4)), np.zeros(0, dtype=np.int64), class_count=2)
 
+
+
+@pytest.mark.parametrize("labels", [np.array([0.5, 1.7]), [1, 0.5], np.array([1.0, 0.0]),
+                                    np.array([True, False])],
+                         ids=["fractions", "list-with-a-fraction", "whole-floats", "bools"])
+def test_dataset_refuses_labels_that_are_not_integers_rather_than_truncating_them(labels):
+    with pytest.raises(DatasetError, match="^labels must be integers, got dtype"):
+        Dataset(np.zeros((2, 3)), labels, 2)
+    for dtype in (np.uint8, np.int32, np.uint64):  # any integer dtype is held as int64
+        held = Dataset(np.zeros((2, 3)), np.array([1, 0], dtype=dtype), 2).labels
+        assert held.dtype == np.int64 and held.tolist() == [1, 0]
 
 def test_dataset_subset_reindexes():
     ds = Dataset(np.arange(8.0).reshape(4, 2), np.array([0, 1, 0, 1]), class_count=2)
@@ -563,7 +584,7 @@ def test_idx_data_is_held_as_uint8_and_never_as_a_float64_matrix(tmp_path):
     tracemalloc.start()
     try:
         ds = load_idx(image_path, label_path)
-        train, val = IdxPair(image_path, label_path).take(np.arange(0, n, 2), np.arange(1, n, 2))
+        train, val = load_idx(image_path, label_path).take(np.arange(0, n, 2), np.arange(1, n, 2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

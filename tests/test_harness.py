@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dropfresh import datasets, harness, scheduler
+from dropfresh import harness, scheduler
 from dropfresh.config import apply_preset, build_experiment_config
 from dropfresh.datasets import Dataset, load_idx
 from dropfresh.harness import (CompareRow, HarnessError, compare, evaluate,
@@ -354,8 +354,10 @@ def test_a_run_is_its_epochs_trained_then_closed_in_turn(values):
     assert run.schedule.epoch == cfg.total_epochs
     assert run.closed == [(r.mean_train_loss, r.validation_accuracy) for r in report.records]
     assert bit_equal(run.params.flat, final.flat)
+    trained = run.params.flat.copy(), run.velocity.flat.copy()
     with pytest.raises(ValueError, match=f"^epoch {cfg.total_epochs + 1} exceeds total_epochs"):
         next_epoch(cfg, train_set, val_set, run)  # the plan has no epoch past its last
+    assert bit_equal(run.params.flat, trained[0]) and bit_equal(run.velocity.flat, trained[1])
 
 
 @pytest.mark.parametrize("values", [small_dar_values(), small_values(policy="reweight")],
@@ -578,7 +580,9 @@ def test_training_population_is_the_loaded_training_set_size(tmp_path, monkeypat
     cfg = build_experiment_config(values)
     expected = load_dataset(cfg.data, cfg.run_seed)[0].n
     if source.startswith("idx"):  # counted from the headers: no pixel is read
-        monkeypatch.setattr(datasets.IdxPair, "take", lambda *a: pytest.fail("pixels read"))
+        read = lambda *a: pytest.fail("pixels read")
+        for name, patch in (("take", read), ("rows", read), ("features", property(read))):
+            monkeypatch.setattr(Dataset, name, patch)
     if source.startswith("synthetic"):  # counted from the spec: nothing is generated
         monkeypatch.setattr(harness, "gen_gaussian", lambda *a: pytest.fail("data generated"))
     assert training_population(cfg) == expected

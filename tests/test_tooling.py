@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from dropfresh import harness
+from dropfresh import config, harness
 from dropfresh.cli import main
 from dropfresh.config import build_experiment_config
 from dropfresh.scheduler import trace
@@ -52,6 +52,23 @@ def test_every_dropfresh_name_the_benchmark_reaches_resolves():
                 reached.add(name)
     assert {"harness.metrics_lines", "harness.gen_gaussian", "datasets.load_idx"} <= reached
 
+
+
+def test_every_dotted_dropfresh_name_in_the_readme_resolves():
+    # README names API such as `harness.load_dataset`; a rename or removal in dropfresh would
+    # otherwise leave it describing what is gone. Config keys and file names are not API.
+    readme = (ROOT / "README.md").read_text()
+    names = set(re.findall(
+        r"`((?:datasets|harness|scheduler|model|config|baselines|cli)\.[A-Za-z_][\w.]*)", readme))
+    checked = sorted(name for name in names if name not in config._KEYS
+                     and Path(name).suffix not in (".bin", ".json", ".jsonl", ".py", ".csv"))
+    for name in checked:
+        module, *attrs = name.split(".")
+        target = importlib.import_module(f"dropfresh.{module}")
+        for attr in attrs:
+            assert hasattr(target, attr), f"README names {name}, which does not resolve"
+            target = getattr(target, attr)
+    assert {"harness.load_dataset", "model.ParamSet", "scheduler.trace"} <= set(checked)
 
 def test_compare_makes_one_run_experiment_call_per_config_and_keeps_no_state(
         tmp_path, monkeypatch):
