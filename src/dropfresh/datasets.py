@@ -131,6 +131,8 @@ def load_idx(image_path: Union[str, Path], label_path: Union[str, Path],
             f"{image_path} holds {n_img} images but {label_path} holds {n_lbl} labels")
     if n_img < 1:
         raise DatasetError(f"{image_path}: empty dataset")
+    if height < 1 or width < 1:
+        raise DatasetError(f"{image_path}: images of {height} x {width} pixels hold no pixel")
     pixels = np.memmap(image_path, np.uint8, "r", offset=16, shape=(n_img, height * width))
     return Dataset(pixels, np.frombuffer(raw, np.uint8, offset=8), class_count,
                    (height, width, 1), pixels=True)  # ``raw`` is the label file
@@ -261,11 +263,11 @@ def _mix(z: np.ndarray) -> np.ndarray:
 
 
 def _uniforms(epoch_key: int, ids: np.ndarray, count: int) -> np.ndarray:
-    """(len(ids), count) 53-bit uniforms in [0, 1); entry [r, j] hashes (epoch_key, ids[r], j)."""
+    """(*ids.shape, count) 53-bit uniforms in [0, 1); entry [..., j] hashes (epoch_key, id, j)."""
     golden = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's counter increment
     streams = _mix(_mix(np.array([epoch_key], dtype=np.uint64)) + ids.astype(np.uint64) * golden)
     counters = np.arange(1, count + 1, dtype=np.uint64) * golden
-    return (_mix(streams[:, None] + counters) >> np.uint64(11)) * 2.0 ** -53
+    return (_mix(streams[..., None] + counters) >> np.uint64(11)) * 2.0 ** -53
 
 
 def epoch_batches(active_ids: Sequence[int], batch_size: int, run_seed: int,
@@ -290,14 +292,14 @@ class Batch:
 
 def make_batch(dataset: Dataset, ids: Sequence[int], policy: AugmentPolicy,
                epoch_key: int) -> Batch:
-    """Materialize one batch with one gather and transform row r keyed by (epoch_key, ids[r]):
-    flips while the rows are still stored (they only move values), noise after ``as_float``."""
+    """Materialize one batch (K stacked lanes' for (K, B) ids) with one gather and transform each
+    row keyed by (epoch_key, its id): flips on the stored rows, noise after ``as_float``."""
     ids = np.asarray(ids, dtype=np.int64)
     rows = dataset.stored[ids]
     if isinstance(policy, HorizontalFlip):
         if dataset.image_shape is None:
             raise DatasetError("horizontal flip needs image-shaped data")
-        flips = _uniforms(epoch_key, ids, 1)[:, 0] < policy.prob
+        flips = _uniforms(epoch_key, ids, 1)[..., 0] < policy.prob
         images = rows[flips].reshape(-1, *dataset.image_shape)
         rows[flips] = images[:, :, ::-1].reshape(-1, dataset.dim)
     elif not isinstance(policy, (NoAugment, GaussianNoise)):
@@ -306,7 +308,7 @@ def make_batch(dataset: Dataset, ids: Sequence[int], policy: AugmentPolicy,
     if isinstance(policy, GaussianNoise) and policy.sigma > 0.0:
         half = (dataset.dim + 1) // 2
         u = _uniforms(epoch_key, ids, 2 * half)
-        radius, angle = np.sqrt(-2.0 * np.log1p(-u[:, :half])), 2.0 * np.pi * u[:, half:]
-        normals = np.hstack([radius * np.cos(angle), radius * np.sin(angle)])
-        features += policy.sigma * normals[:, :dataset.dim]
+        radius, angle = np.sqrt(-2.0 * np.log1p(-u[..., :half])), 2.0 * np.pi * u[..., half:]
+        normals = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+        features += policy.sigma * normals[..., :dataset.dim]
     return Batch(ids=ids, features=features, labels=dataset.labels[ids])

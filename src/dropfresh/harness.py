@@ -31,7 +31,11 @@ _SPLIT_STREAM = 1
 # Evaluation and the export run on blocks of this many rows, the last up to twice as many: on
 # OpenBLAS 0.3.31 each row then gets the bits of the whole product (fewer rows can change them)
 _ROW_BLOCK = 256
-# Only in compare's runs: the configs still to run, states saved by fork epoch, the shared data
+# Lanes take stacked steps only below this many parameters each. At batch 64 on one OpenBLAS
+# 0.3.31 thread, a stacked pair took 0.76 of two solo steps' time at desk's 874 parameters, 0.95
+# at 16,705, 1.03 at 34,195 and 1.07 at idx-augment's 101,770, where two lanes miss the cache
+_STACK_LIMIT = 20_000
+# Only in compare's runs: its configs, their final states or errors (from the first run), the data
 _COMPARE: ContextVar[tuple | None] = ContextVar("_COMPARE", default=None)
 
 
@@ -126,32 +130,51 @@ class RunState:
 
 
 def train_epoch(cfg: ExperimentConfig, train_set: Dataset, val_set: Dataset | None,
-                run: RunState) -> tuple[np.ndarray, float | None]:
-    """Train the next epoch on ``run``'s pool: its losses in pool order and validation accuracy."""
-    epoch = run.schedule.epoch + 1
+                runs: Sequence[RunState]) -> list[tuple[np.ndarray, float | None]]:
+    """Train the next epoch of each run as lanes in lockstep: per run, its losses in pool order
+    and validation accuracy. One run trains on its own arrays, several on stack buffers copied
+    back once all are trained and evaluated, so a raise leaves every run as it was."""
+    epoch, sizes = runs[0].schedule.epoch + 1, runs[0].params.layer_sizes
     if epoch > cfg.total_epochs:  # end_of_epoch's refusal, before any parameter moves
         raise ValueError(f"epoch {epoch} exceeds total_epochs {cfg.total_epochs}")
     epoch_key = datasets.epoch_seed(cfg.run_seed, epoch)
-    plan = datasets.epoch_batches(run.schedule.active_ids, cfg.batch_size, cfg.run_seed, epoch)
-    grads, loss_by_id = ParamSet.zeros_like(run.params), np.empty(train_set.n)
+    plans = [datasets.epoch_batches(run.schedule.active_ids, cfg.batch_size, cfg.run_seed, epoch)
+             for run in runs]
+    stack = np.stack if len(runs) > 1 else lambda flats: flats[0][None]  # one run: its own arrays
+    bufs = [stack([run.params.flat for run in runs]), stack([run.velocity.flat for run in runs])]
+    bufs.append(np.zeros_like(bufs[0]))  # the gradients
+    rows = [[ParamSet.view(buf[i], sizes) for buf in bufs] for i in range(len(runs))]
+    stacks = {k: (np.arange(k)[:, None], [ParamSet.view(buf[:k], sizes) for buf in bufs])
+              for k in range(2, len(runs) + 1) if bufs[0].shape[1] < _STACK_LIMIT}
+    loss_by_id = np.empty((len(runs), train_set.n))
+    table = None if all(run.weights is None for run in runs) else np.stack([  # ones are exact
+        np.ones(train_set.n) if run.weights is None else run.weights.values for run in runs])
     # an overflow anywhere in a batch, its loss, gradients or update raises here
     with np.errstate(over="raise", invalid="raise"):
-        for batch_ids in plan:
-            try:
-                batch = datasets.make_batch(train_set, batch_ids, cfg.data.augment, epoch_key)
-                sample_weights = run.weights.values[batch.ids] if run.weights is not None else None
-                loss_by_id[batch_ids] = model.loss_and_gradients(
-                    run.params, batch.features, batch.labels, cfg.train.weight_decay,
-                    sample_weights, out=grads)[0]
-                model.sgd_step(run.params, grads, cfg.train, epoch, run.velocity)
-            except (ValueError, FloatingPointError) as exc:
-                raise HarnessError(
-                    f"epoch {epoch}, examples {batch_ids[:3].tolist()}...: {exc}") from exc
+        for j in range(max(map(len, plans))):
+            full = next((k for k, plan in enumerate(plans) if len(plan) <= j
+                         or plan[j].size < cfg.batch_size), len(plans)) if stacks else 0
+            first = full if full in stacks else 0  # lanes [0, first) take one stacked step
+            stacked = [(*stacks[first], np.array([p[j] for p in plans[:first]]))] if first else []
+            solo = [(i, rows[i], plans[i][j]) for i in range(first, len(runs)) if j < len(plans[i])]
+            for lanes, (params, velocity, grads), ids in stacked + solo:
+                try:
+                    batch = datasets.make_batch(train_set, ids, cfg.data.augment, epoch_key)
+                    loss_by_id[lanes, ids] = model.loss_and_gradients(
+                        params, batch.features, batch.labels, cfg.train.weight_decay,
+                        None if table is None else table[lanes, ids], out=grads)[0]
+                    model.sgd_step(params, grads, cfg.train, epoch, velocity)
+                except (ValueError, FloatingPointError) as exc:
+                    raise HarnessError(
+                        f"epoch {epoch}, examples {ids.ravel()[:3].tolist()}...: {exc}") from exc
     try:
-        val_acc = evaluate(run.params, val_set) if val_set is not None else None
+        accs = [evaluate(params, val_set) if val_set is not None else None for params, *_ in rows]
     except FloatingPointError as exc:
         raise HarnessError(f"epoch {epoch}, validation: {exc}") from exc
-    return loss_by_id[run.schedule.active_ids], val_acc  # the plan permutes the pool
+    for run, (params, velocity, _) in zip(runs, rows if len(runs) > 1 else ()):
+        run.params.flat[:], run.velocity.flat[:] = params.flat, velocity.flat
+    return [(loss_by_id[i, run.schedule.active_ids], acc)  # the plan permutes the pool
+            for i, (run, acc) in enumerate(zip(runs, accs))]
 
 
 def close_epoch(cfg: ExperimentConfig, run: RunState, losses: np.ndarray,
@@ -169,25 +192,52 @@ def _fork_epoch(cfg: ExperimentConfig, population: int) -> int:
         cfg.dar, population) if row.size < population), cfg.total_epochs)
 
 
+def _attempt(fn, *args):  # ``fn(*args)``, or the error it raised, for its run to raise
+    try:
+        return fn(*args)
+    except (HarnessError, ValueError) as exc:  # a run's errors; any other is raised at once
+        return exc
+
+
+def _train_lanes(cfgs: Sequence[ExperimentConfig], train_set: Dataset,
+                 val_set: Dataset | None) -> list[RunState | Exception]:
+    """Each config's final state, or the error its run raises, trained as lanes in lockstep. All
+    start on the shared full-pool lane, which the config forking last closes as its own; after
+    training its fork epoch, any other config splits off a copy and closes the epoch as its own."""
+    cfg, forks = cfgs[0], [_fork_epoch(c, train_set.n) for c in cfgs]
+    owner = forks.index(max(forks))
+    params = init_params([train_set.dim, *cfg.hidden_layers, train_set.class_count], cfg.run_seed)
+    lanes = [(RunState(params, ParamSet.zeros_like(params), scheduler.init(train_set.n), None, []),
+              [owner, *(i for i in range(len(cfgs)) if i != owner)])]  # the first closes it
+    outcomes = {}
+    while lanes and (epoch := lanes[0][0].schedule.epoch + 1) <= cfg.total_epochs:
+        runs = [run for run, _ in lanes]
+        trained = _attempt(train_epoch, cfg, train_set, val_set, runs)
+        if isinstance(trained, Exception):  # replayed one lane at a time from untouched states
+            trained = [trained] if len(runs) == 1 else [_attempt(
+                lambda run: train_epoch(cfg, train_set, val_set, [run])[0], run) for run in runs]
+        kept, split = [], []
+        for (run, riders), out in zip(lanes, trained):
+            forking = [i for i in riders[1:] if forks[i] == epoch]
+            kept.append((run, [i for i in riders if i not in forking], out))
+            split += [(run.copy(), [i], out) for i in forking]  # new lanes go last
+        lanes = []
+        for run, riders, out in kept + split:
+            failed = out if isinstance(out, Exception) else _attempt(
+                close_epoch, cfgs[riders[0]], run, *out)
+            outcomes.update(dict.fromkeys(riders, failed or run))
+            lanes += [] if failed else [(run, riders)]
+    return [outcomes[i] for i in range(len(cfgs))]
+
+
 def run_experiment_with_params(cfg: ExperimentConfig) -> tuple[RunReport, ParamSet]:
     start = time.perf_counter()
-    later, saved, data = _COMPARE.get() or ((), {}, None)
+    cfgs, outcomes, data = _COMPARE.get() or ((cfg,), [], None)
     train_set, val_set = data or load_dataset(cfg.data, cfg.run_seed)
-    fork = _fork_epoch(cfg, train_set.n)  # a later config shares the epochs up to both forks
-    forks = {min(fork, _fork_epoch(c, train_set.n)) for c in later}
-    resumed = max((epoch for epoch in saved if epoch <= fork), default=0)
-    if resumed:  # saved after training epoch ``resumed``, before its close
-        run, trained = saved[resumed][0].copy(), saved[resumed][1]
-        close_epoch(cfg, run, *trained)
-    else:
-        params = init_params([train_set.dim, *cfg.hidden_layers, train_set.class_count],
-                             cfg.run_seed)
-        run = RunState(params, ParamSet.zeros_like(params), scheduler.init(train_set.n), None, [])
-    while (epoch := run.schedule.epoch + 1) <= cfg.total_epochs:
-        trained = train_epoch(cfg, train_set, val_set, run)
-        if epoch in forks and epoch not in saved:  # the state before its close
-            saved[epoch] = (run.copy(), trained)
-        close_epoch(cfg, run, *trained)
+    if not outcomes:  # the first run of a compare trains all of its runs
+        outcomes += _train_lanes(cfgs, train_set, val_set)
+    if isinstance(run := outcomes.pop(0), Exception):
+        raise run
     plan = scheduler.trace(cfg.dar, train_set.n)
     records = tuple(EpochRecord(
         epoch=row.epoch, active_count=row.size, mean_train_loss=loss, validation_accuracy=acc,
@@ -280,8 +330,8 @@ def compare(cfgs: Sequence[ExperimentConfig]) -> list[CompareRow]:
     """Run shared-seed configs in order, one ``run_experiment`` call each, and tabulate cost and
     accuracy. Configs must agree on everything except the policy and its drop/refresh
     parameters; the delta column is against the first config's accuracy. The runs share the
-    data, loaded once, and train each epoch they share once: a run resumes where an earlier one
-    saved the state it forks from, so its ``wall_clock_seconds`` covers only its own call."""
+    data, loaded once, and the first call trains them all in lockstep (``_train_lanes``), so its
+    ``wall_clock_seconds`` covers all the training and a later call's only its own report."""
     if len(cfgs) < 2:
         raise HarnessError("compare needs at least two configs")
     base = cfgs[0]
@@ -295,9 +345,9 @@ def compare(cfgs: Sequence[ExperimentConfig]) -> list[CompareRow]:
     labels = [cfg.policy if counts[cfg.policy] == 1 else f"{cfg.policy}-{i}"
               for i, cfg in enumerate(cfgs, start=1)]
     rows: list[CompareRow] = []
-    shared, saved, data = copy_context(), {}, load_dataset(base.data, base.run_seed)
-    for i, (label, cfg) in enumerate(zip(labels, cfgs), start=1):  # sharing ends with the call
-        shared.run(_COMPARE.set, (cfgs[i:], saved, data))
+    shared = copy_context()  # sharing ends with the call
+    shared.run(_COMPARE.set, (cfgs, [], load_dataset(base.data, base.run_seed)))
+    for label, cfg in zip(labels, cfgs):
         report = shared.run(run_experiment, cfg)
         acc = report.final_validation_accuracy
         reference = rows[0].final_accuracy if rows else acc

@@ -16,12 +16,12 @@ _INIT_STREAM = 0  # keeps init draws disjoint from the data-side streams
 
 
 def _layer_views(flat: np.ndarray, layer_sizes: Sequence[int]) -> tuple[list, list]:
-    """Per-layer weight and bias views of ``flat``, laid out W1, b1, W2, b2, ..."""
-    weights, biases, offset = [], [], 0
+    """Per-layer weight and bias views of ``flat``, laid out W1, b1, W2, b2, ... (per run)."""
+    weights, biases, offset, lead = [], [], 0, flat.shape[:-1]
     for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
-        weights.append(flat[offset:offset + fan_in * fan_out].reshape(fan_out, fan_in))
+        weights.append(flat[..., offset:offset + fan_in * fan_out].reshape(*lead, fan_out, fan_in))
         offset += fan_in * fan_out
-        biases.append(flat[offset:offset + fan_out])
+        biases.append(flat[..., offset:offset + fan_out])
         offset += fan_out
     return weights, biases
 
@@ -30,7 +30,8 @@ def _layer_views(flat: np.ndarray, layer_sizes: Sequence[int]) -> tuple[list, li
 class ParamSet:
     """Per-layer weight matrices (fan_out, fan_in) and bias vectors (fan_out,), all views
     into one float64 vector ``flat`` laid out as ``model.bin`` is: W1 (row-major), b1, W2,
-    b2, ... Building a ParamSet copies the arrays passed in, so it never aliases them."""
+    b2, ... Building a ParamSet copies the arrays passed in, so it never aliases them; a
+    ``view`` does not, and its ``flat`` may be ``(K, P)``: K runs stacked on a leading axis."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -57,7 +58,7 @@ class ParamSet:
 
     @property
     def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
+        return [self.weights[0].shape[-1]] + [w.shape[-2] for w in self.weights]
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, layer_sizes: list[int]) -> "ParamSet":
@@ -68,11 +69,15 @@ class ParamSet:
         return ParamSet(self.weights, self.biases)
 
     @staticmethod
+    def view(flat: np.ndarray, layer_sizes: list[int]) -> "ParamSet":
+        """Unchecked layer views of ``flat`` itself, ``(P,)`` or ``(K, P)``; nothing is copied."""
+        params = object.__new__(ParamSet)
+        params.flat, (params.weights, params.biases) = flat, _layer_views(flat, layer_sizes)
+        return params
+
+    @staticmethod
     def zeros_like(other: "ParamSet") -> "ParamSet":
-        zeros = object.__new__(ParamSet)  # all-zero parameters need no checks
-        zeros.flat = np.zeros(other.flat.size)
-        zeros.weights, zeros.biases = _layer_views(zeros.flat, other.layer_sizes)
-        return zeros
+        return ParamSet.view(np.zeros(other.flat.shape), other.layer_sizes)  # zeros need no checks
 
 
 def init_params(layer_sizes: list[int], seed: int) -> ParamSet:
@@ -148,8 +153,8 @@ def _forward_pass(params: ParamSet, features: np.ndarray,
     acts = [features]
     last = len(params.weights) - 1
     for i in range(last + 1)[:stop]:
-        z = acts[-1] @ params.weights[i].T
-        z += params.biases[i]  # in place: the same rounding as ``x @ w.T + b``, one array fewer
+        z = acts[-1] @ params.weights[i].swapaxes(-1, -2)
+        z += params.biases[i][..., None, :]  # in place: ``x @ w.T + b``'s rounding, one array fewer
         acts.append(z if i == last else np.maximum(z, 0.0, out=z))
     return acts
 
@@ -176,13 +181,13 @@ def _check_labels(labels: np.ndarray, batch: int, classes: int) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def _xent_core(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _xent_core(logits: np.ndarray, pick: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Softmax and per-example cross-entropy from one max-shifted exponential; unchecked."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    total = e.sum(axis=1)
-    losses = np.log(total) - shifted[np.arange(len(labels)), labels]
-    e /= total[:, None]
+    total = e.sum(axis=-1)
+    losses = np.log(total) - shifted[pick]
+    e /= total[..., None]
     # log-sum-exp >= the picked logit, so clamp only absorbs rounding dust
     return e, np.maximum(losses, 0.0)
 
@@ -195,34 +200,37 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray) -> BatchOutput:
     if not np.isfinite(logits).all():
         raise ValueError("non-finite logits")
     labels = _check_labels(labels, logits.shape[0], logits.shape[1])
-    probabilities, losses = _xent_core(logits, labels)
+    probabilities, losses = _xent_core(logits, (np.arange(len(labels)), labels))
     return BatchOutput(probabilities, losses)
 
 
 def loss_and_gradients(params: ParamSet, features: np.ndarray, labels: np.ndarray,
                        weight_decay: float, sample_weights: np.ndarray | None,
                        out: ParamSet | None = None) -> tuple[np.ndarray, ParamSet]:
-    """Per-example losses and ``backward``'s gradients from one forward pass.
-
-    The gradients are written into ``out`` (a new ``zeros_like(params)`` if None) and it is
-    returned. Arguments are not re-checked: ``backward`` checks them, and the harness
-    takes them from a dataset and a weight vector that were checked when built.
-    """
+    """Per-example losses and ``backward``'s gradients from one forward pass, written into
+    ``out`` (a new ``zeros_like(params)`` if None), which is returned; K stacked runs (``flat``
+    and every argument lead with K) each get the bits of their own call. Arguments are not
+    re-checked: ``backward`` checks them, and the harness takes them from a dataset and a
+    weight vector that were checked when built."""
     acts = _forward_pass(params, features)
     if not np.isfinite(acts[-1]).all():
         raise ValueError("non-finite logits")
-    delta, losses = _xent_core(acts[-1], labels)
-    batch = features.shape[0]
-    delta[np.arange(batch), labels] -= 1.0
+    *lead, batch = labels.shape  # lead: [] for one run, [K] for K stacked runs
+    pick = (*[np.arange(k)[:, None] for k in lead], np.arange(batch), labels)  # label logits
+    delta, losses = _xent_core(acts[-1], pick)
+    delta[pick] -= 1.0
     if sample_weights is not None:
-        delta *= sample_weights[:, None]
+        delta *= sample_weights[..., None]
     delta /= batch
     if out is None:
         out = ParamSet.zeros_like(params)
     for layer in range(len(params.weights) - 1, -1, -1):
-        grad_w = np.matmul(delta.T, acts[layer], out=out.weights[layer])
-        grad_w += weight_decay * params.weights[layer]
-        np.add.reduce(delta, axis=0, out=out.biases[layer])
+        grad_w = np.matmul(delta.swapaxes(-1, -2), acts[layer], out=out.weights[layer])
+        weights = params.weights[layer]
+        if weights.ndim > 2:  # (K, fan_out * fan_in) row views: a 3-D view is far slower
+            grad_w, weights = grad_w.reshape(len(grad_w), -1), weights.reshape(len(weights), -1)
+        grad_w += weight_decay * weights
+        np.add.reduce(delta, axis=-2, out=out.biases[layer])
         if layer > 0:
             delta = (delta @ params.weights[layer]) * (acts[layer] > 0.0)
     return losses, out

@@ -266,6 +266,23 @@ def test_cost_rejects_an_idx_pair_of_no_images_with_one_json_line(write_config, 
                                   "message": f"{images}: empty dataset"}
 
 
+def test_train_rejects_idx_images_without_pixels_with_one_json_line(write_config, tmp_path,
+                                                                   capsys):
+    images, labels = tmp_path / "images", tmp_path / "labels"
+    images.write_bytes(idx_bytes(0x803, (20, 0, 5), []))
+    labels.write_bytes(idx_bytes(0x801, (20,), np.arange(20) % 3))
+    values = {"data.source": "idx", "data.idx_images": images, "data.idx_labels": labels,
+              "data.class_count": "3", "train.total_epochs": "8", "train.base_lr": "0.1"}
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(write_config(values)), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert json.loads(err[0]) == {"error": "DatasetError",
+                                  "message": f"{images}: images of 0 x 5 pixels hold no pixel"}
+    assert not (out / "metrics.jsonl").exists()
+
+
 def test_set_without_an_equals_sign_is_one_json_line(write_config, capsys):
     assert main(["cost", "--config", str(write_config(TOY_VALUES)), "--set", "foo"]) == 1
     captured = capsys.readouterr()

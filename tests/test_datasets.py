@@ -85,6 +85,17 @@ def test_load_idx_count_mismatch(idx_pair, tmp_path):
     assert str(image_path) in str(err.value) and "short-labels" in str(err.value)
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 5), (5, 0), (0, 0)])
+def test_load_idx_refuses_images_without_pixels(tmp_path, rows, cols):
+    # a 0-row or 0-column image file would load as an (n, 0) dataset that no model can take
+    image_path, label_path = tmp_path / "images", tmp_path / "labels"
+    image_path.write_bytes(idx_image_bytes(np.zeros((20, rows, cols), dtype=np.uint8)))
+    label_path.write_bytes(idx_label_bytes(np.arange(20) % 10))
+    with pytest.raises(DatasetError) as err:
+        load_idx(image_path, label_path)
+    assert str(err.value) == f"{image_path}: images of {rows} x {cols} pixels hold no pixel"
+
+
 def test_load_idx_class_count_override(idx_pair):
     image_path, label_path, _, _ = idx_pair
     assert load_idx(image_path, label_path, class_count=12).class_count == 12
@@ -530,6 +541,21 @@ def pixel_pair(n: int = 40, side: int = 8, seed: int = 3) -> tuple[Dataset, Data
     labels = rng.integers(0, 10, size=n)
     return (Dataset(u8, labels, 10, (side, side, 1), pixels=True),
             Dataset(u8 / 255.0, labels, 10, (side, side, 1)))
+
+
+@pytest.mark.parametrize("policy", [NoAugment(), HorizontalFlip(0.5), GaussianNoise(0.3)])
+def test_a_stack_of_id_rows_makes_each_row_s_own_batch_bit_for_bit(policy):
+    # stacked lanes gather (K, B) ids at once; lane k gets the batch its own (B,) ids make
+    pixels, floats = pixel_pair()
+    ids = np.random.default_rng(8).integers(0, pixels.n, size=(3, 9))
+    key = epoch_seed(4, 2)
+    for ds in (pixels, floats):
+        stacked = make_batch(ds, ids, policy, key)
+        assert stacked.features.shape == (3, 9, ds.dim) and stacked.labels.shape == (3, 9)
+        for k in range(3):
+            alone = make_batch(ds, ids[k], policy, key)
+            assert bit_equal(stacked.features[k], alone.features)
+            assert bit_equal(stacked.labels[k], alone.labels)
 
 
 @pytest.mark.parametrize("policy", [NoAugment(), HorizontalFlip(0.5), GaussianNoise(0.3)])

@@ -337,7 +337,7 @@ def new_run(cfg, train_set):
 
 
 def next_epoch(cfg, train_set, val_set, run):
-    harness.close_epoch(cfg, run, *harness.train_epoch(cfg, train_set, val_set, run))
+    harness.close_epoch(cfg, run, *harness.train_epoch(cfg, train_set, val_set, [run])[0])
 
 
 @pytest.mark.parametrize("values", [small_dar_values(), small_values(policy="reweight")],
@@ -363,7 +363,7 @@ def test_a_run_is_its_epochs_trained_then_closed_in_turn(values):
 @pytest.mark.parametrize("values", [small_dar_values(), small_values(policy="reweight")],
                          ids=["dar", "reweight"])
 def test_a_copied_run_shares_no_writable_array_and_trains_apart(values):
-    # compare resumes later runs from copies of a saved state, which must stay as saved
+    # compare splits runs off copies of the shared lane, which must train on as before
     assert [f.name for f in fields(harness.RunState)] == [
         "params", "velocity", "schedule", "weights", "closed"]
     cfg = build_experiment_config(values)
@@ -457,30 +457,85 @@ def test_compare_runs_each_config_as_it_runs_alone(monkeypatch, tmp_path, case):
         assert "refresh" in [record.action for record in alone[1][0].records]
 
 
+def test_a_lane_failing_mid_epoch_leaves_the_lanes_stacked_with_it_as_they_run_alone(
+        monkeypatch, tmp_path):
+    # on two contradictory 1e100 rows and 30 easy ones, reweight overflows in epoch 3's third
+    # batch, a step its lane shares with uniform's and dar's (24 of 32 examples kept)
+    path = tmp_path / "diverges.csv"
+    path.write_text("0,1e100\n1,1e100\n" + "0,0\n" * 30)
+    values = {"data.source": "csv", "data.csv": str(path), "train.total_epochs": "6",
+              "train.base_lr": "1e108", "train.batch_size": "8"}
+    uniform, dar, rew = (build_experiment_config({**values, **extra}) for extra in (
+        {"policy": "uniform"}, {"policy": "dar", "dar.keep_rate": "0.75",
+                                "dar.warmup_epochs": "1"}, {"policy": "reweight"}))
+    alone = [run_experiment_with_params(cfg) for cfg in (uniform, dar)]
+    with pytest.raises(HarnessError, match="^epoch 3, examples .*overflow") as failed_alone:
+        run_experiment_with_params(rew)
+    steps, inner = [], harness.model.loss_and_gradients
+
+    def lanes_per_call(params, *args, **kwargs):  # (lanes, whether the call raised)
+        steps.append([params.flat.shape[0] if params.flat.ndim == 2 else 1, True])
+        out = inner(params, *args, **kwargs)
+        steps[-1][1] = False
+        return out
+
+    runs, run = [], harness.run_experiment_with_params
+    with monkeypatch.context() as patch:
+        patch.setattr(harness.model, "loss_and_gradients", lanes_per_call)
+        patch.setattr(harness, "run_experiment_with_params",
+                      lambda cfg: runs.append(run(cfg)) or runs[-1])
+        with pytest.raises(HarnessError) as failed:
+            compare([uniform, dar, rew])
+    assert str(failed.value) == str(failed_alone.value)
+    assert [3, True] in steps  # the stacked step raised, and the epoch was replayed lane by lane
+    assert len(runs) == 2
+    for got, want in zip(runs, alone):
+        assert_same_run(got, want)
+
+
 def test_compare_trains_each_epoch_its_runs_share_once(monkeypatch):
     cfgs = desk_configs(1)
     population = training_population(cfgs["uniform"])
+    batch = cfgs["uniform"].batch_size
 
     def steps(cfg, first=1):  # training batches from epoch ``first`` on, by the plan
-        return sum(math.ceil(row.size / cfg.batch_size)
-                   for row in trace(cfg.dar, population)[first - 1:])
+        return sum(math.ceil(row.size / batch) for row in trace(cfg.dar, population)[first - 1:])
 
     calls, inner = [], harness.model.loss_and_gradients
-    monkeypatch.setattr(harness.model, "loss_and_gradients",
-                        lambda *args, **kwargs: calls.append(1) or inner(*args, **kwargs))
+
+    def lanes_per_call(params, *args, **kwargs):  # the leading run axis, or 1 for a solo step
+        calls.append(params.flat.shape[0] if params.flat.ndim == 2 else 1)
+        return inner(params, *args, **kwargs)
+
+    monkeypatch.setattr(harness.model, "loss_and_gradients", lanes_per_call)
     loads, load = [], harness.load_dataset
     monkeypatch.setattr(harness, "load_dataset", lambda *args: loads.append(1) or load(*args))
     compare(list(cfgs.values()))
     assert len(loads) == 1  # the runs share the data too
-    # uniform trains every epoch; dar resumes after its last full-pool epoch, reweight after 1
+    # uniform trains every epoch; dar splits off after its last full-pool epoch, reweight after 1
     dar_fork = next(row.epoch for row in trace(cfgs["dar"].dar, population)
                     if row.size < population) - 1
     shared = steps(cfgs["uniform"]) + steps(cfgs["dar"], dar_fork + 1) + steps(
         cfgs["reweight"], 2)
-    assert len(calls) == shared < sum(map(steps, cfgs.values()))  # 3,209 against 3,729
+    assert sum(calls) == shared < sum(map(steps, cfgs.values()))  # 3,209 against 3,729
+    # each epoch's lanes in order (uniform's, then reweight's from epoch 2, dar's after its
+    # fork): at step j the leading lanes with a full batch j share one call, the rest take one
+    expected = 0
+    for row in trace(cfgs["dar"].dar, population):
+        sizes = [population] * (1 + (row.epoch > 1)) + [row.size] * (row.epoch > dar_fork)
+        for j in range(max(math.ceil(size / batch) for size in sizes)):
+            full = next((k for k, size in enumerate(sizes) if size < (j + 1) * batch), len(sizes))
+            first = full if full > 1 else 0
+            expected += (first > 0) + sum(j * batch < size for size in sizes[first:])
+    assert len(calls) == expected == 1309 and max(calls) == 3
     calls.clear()
     run_experiment(cfgs["dar"])
-    assert len(calls) == steps(cfgs["dar"]) and len(loads) == 2  # alone, it trains all 1,129
+    assert len(calls) == sum(calls) == steps(cfgs["dar"]) and len(loads) == 2  # alone, all 1,129
+    calls.clear()
+    lane_size = len(init_params([16, *cfgs["uniform"].hidden_layers, 10], 0).flat)
+    monkeypatch.setattr(harness, "_STACK_LIMIT", lane_size)
+    compare(list(cfgs.values()))  # lanes of 874 parameters are not below a limit of 874
+    assert len(calls) == sum(calls) == shared
 
 
 def test_export_features_csv(tmp_path):

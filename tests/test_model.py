@@ -434,3 +434,34 @@ def test_array_holders_compare_by_identity(make, twin):
     hash(x)
     assert x == x
     assert not x == twin(x) and x != twin(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lanes=st.integers(1, 4), hidden=st.sampled_from([(), (32,), (32, 16)]),
+       batch=st.integers(1, 70), weighted=st.lists(st.booleans(), min_size=4, max_size=4),
+       seed=st.integers(0, 2**16))
+def test_stacked_lanes_step_each_with_the_bits_of_its_own_call(lanes, hidden, batch, weighted,
+                                                              seed):
+    # a leading run axis on flat, features, labels and weights stacks K runs in one call;
+    # a lane without weights takes a row of ones, which multiplies exactly
+    rng = np.random.default_rng(seed)
+    sizes = [16, *hidden, 10]
+    flat = np.stack([init_params(sizes, seed + k).flat for k in range(lanes)])
+    velocity = rng.normal(size=flat.shape)
+    features = rng.normal(scale=2.0, size=(lanes, batch, 16))
+    labels = rng.integers(0, 10, size=(lanes, batch))
+    weights = np.where(np.array(weighted[:lanes])[:, None],
+                       rng.uniform(0.1, 3.0, size=(lanes, batch)), 1.0)
+    hyper = TrainHyper(base_lr=0.1, momentum=0.9, weight_decay=1e-4)
+    params, moved = ParamSet.view(flat.copy(), sizes), ParamSet.view(velocity.copy(), sizes)
+    losses, grads = loss_and_gradients(params, features, labels, 1e-4, weights)
+    sgd_step(params, grads, hyper, 2, moved)
+    for k in range(lanes):
+        alone, alone_v = ParamSet.from_flat(flat[k], sizes), ParamSet.from_flat(velocity[k], sizes)
+        alone_losses, alone_grads = loss_and_gradients(
+            alone, features[k], labels[k], 1e-4, weights[k] if weighted[k] else None)
+        sgd_step(alone, alone_grads, hyper, 2, alone_v)
+        assert losses[k].tobytes() == alone_losses.tobytes()
+        assert grads.flat[k].tobytes() == alone_grads.flat.tobytes()
+        assert params.flat[k].tobytes() == alone.flat.tobytes()
+        assert moved.flat[k].tobytes() == alone_v.flat.tobytes()

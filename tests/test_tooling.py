@@ -73,7 +73,7 @@ def test_every_dotted_dropfresh_name_in_the_readme_resolves():
 def test_compare_makes_one_run_experiment_call_per_config_and_keeps_no_state(
         tmp_path, monkeypatch):
     # the benchmark collects compare's reports by wrapping harness.run_experiment, and its
-    # idx-augment rounds train one config over and over: saved epochs must not outlive compare
+    # idx-augment rounds train one config over and over: trained lanes must not outlive compare
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
     steps, inner = [], harness.model.loss_and_gradients
@@ -106,13 +106,17 @@ def test_compare_makes_one_run_experiment_call_per_config_and_keeps_no_state(
                     for policy in ("uniform", "reweight"))
     diverged = "^epoch 4, examples .*overflow"
     with workloads.captured_reports() as reports, pytest.raises(harness.HarnessError,
-                                                                match=diverged):
+                                                                match=diverged) as compared:
         harness.compare([uniform, rew])
     assert len(reports) == 1 and trains_every_batch(uniform)
     steps.clear()
-    with pytest.raises(harness.HarnessError, match=diverged):
+    with pytest.raises(harness.HarnessError, match=diverged) as alone:
         harness.run_experiment(rew)
-    assert len(steps) == 4  # epochs 1-3 and the batch that overflowed, not a resumed epoch 1
+    assert len(steps) == 4  # epochs 1-3 and the batch that overflowed, nothing left from compare
+    assert str(compared.value) == str(alone.value)  # the lane failed as the run alone does
+    with workloads.captured_reports() as reports, pytest.raises(harness.HarnessError) as first:
+        harness.compare([rew, uniform])
+    assert reports == [] and str(first.value) == str(alone.value)  # the first call raises
 
 
 def test_every_benchmark_workload_passes_its_own_check_at_its_tiny_size(tmp_path, monkeypatch):
@@ -128,6 +132,22 @@ def test_every_benchmark_workload_passes_its_own_check_at_its_tiny_size(tmp_path
         _, _, outputs = bench.run.timed_rounds(workload, 0.0, warmup=False)
         assert len(outputs) == workload.cycle and workload.failed == 0, name
         assert workload.check(outputs)[0] == [], name
+
+
+def test_the_desk_check_passes_at_ten_epochs_where_dar_trains_shrunk_epochs(tmp_path,
+                                                                          monkeypatch):
+    # desk-default's drops start at 10 epochs (at perfbench's tiny 8 none is trained), so here
+    # the benchmark's own checks judge a shrunk dar lane stacked with uniform's and reweight's
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    desk = workloads.Desk(tmp_path, 0, epochs=10)
+    desk.prepare()
+    outputs = [desk.run_round() for _ in range(desk.cycle)]
+    dar = [report for _, _, reports in outputs for report in reports
+           if report.config["policy"] == "dar"]
+    assert all(sum(r.active_count < desk.population for r in report.records) == 2
+               for report in dar)
+    assert desk.check(outputs)[0] == []
 
 
 def test_every_third_party_import_is_a_declared_dependency():
