@@ -35,8 +35,8 @@ _ROW_BLOCK = 256
 # 0.3.31 thread, a stacked pair took 0.76 of two solo steps' time at desk's 874 parameters, 0.95
 # at 16,705, 1.03 at 34,195 and 1.07 at idx-augment's 101,770, where two lanes miss the cache
 _STACK_LIMIT = 20_000
-# Only in compare's runs: its configs, their final states or errors (from the first run), the data
-_COMPARE: ContextVar[tuple | None] = ContextVar("_COMPARE", default=None)
+# Only in compare's runs: each config's final state or error, in config order, trained already
+_COMPARE: ContextVar[Iterator | None] = ContextVar("_COMPARE", default=None)
 
 
 class HarnessError(RuntimeError):
@@ -134,7 +134,9 @@ def train_epoch(cfg: ExperimentConfig, train_set: Dataset, val_set: Dataset | No
     """Train the next epoch of each run as lanes in lockstep: per run, its losses in pool order
     and validation accuracy. One run trains on its own arrays, several on stack buffers copied
     back once all are trained and evaluated, so a raise leaves every run as it was."""
-    epoch, sizes = runs[0].schedule.epoch + 1, runs[0].params.layer_sizes
+    if len(epochs := sorted({run.schedule.epoch for run in runs})) != 1:
+        raise ValueError(f"runs at closed epochs {epochs}: train_epoch needs runs at one epoch")
+    epoch, sizes = epochs[0] + 1, runs[0].params.layer_sizes
     if epoch > cfg.total_epochs:  # end_of_epoch's refusal, before any parameter moves
         raise ValueError(f"epoch {epoch} exceeds total_epochs {cfg.total_epochs}")
     epoch_key = datasets.epoch_seed(cfg.run_seed, epoch)
@@ -201,14 +203,13 @@ def _attempt(fn, *args):  # ``fn(*args)``, or the error it raised, for its run t
 
 def _train_lanes(cfgs: Sequence[ExperimentConfig], train_set: Dataset,
                  val_set: Dataset | None) -> list[RunState | Exception]:
-    """Each config's final state, or the error its run raises, trained as lanes in lockstep. All
-    start on the shared full-pool lane, which the config forking last closes as its own; after
-    training its fork epoch, any other config splits off a copy and closes the epoch as its own."""
-    cfg, forks = cfgs[0], [_fork_epoch(c, train_set.n) for c in cfgs]
-    owner = forks.index(max(forks))
+    """Each config's final state or its run's error, up to the first that fails, from lanes in
+    lockstep. All configs ride the shared full-pool lane, which its first rider closes; after its
+    fork epoch, a rider closes a copy as its own (if all riders fork, the first keeps the lane)."""
+    cfg, forks, stop = cfgs[0], [_fork_epoch(c, train_set.n) for c in cfgs], len(cfgs)
     params = init_params([train_set.dim, *cfg.hidden_layers, train_set.class_count], cfg.run_seed)
     lanes = [(RunState(params, ParamSet.zeros_like(params), scheduler.init(train_set.n), None, []),
-              [owner, *(i for i in range(len(cfgs)) if i != owner)])]  # the first closes it
+              list(range(len(cfgs))))]  # riders in config order
     outcomes = {}
     while lanes and (epoch := lanes[0][0].schedule.epoch + 1) <= cfg.total_epochs:
         runs = [run for run, _ in lanes]
@@ -218,27 +219,25 @@ def _train_lanes(cfgs: Sequence[ExperimentConfig], train_set: Dataset,
                 lambda run: train_epoch(cfg, train_set, val_set, [run])[0], run) for run in runs]
         kept, split = [], []
         for (run, riders), out in zip(lanes, trained):
-            forking = [i for i in riders[1:] if forks[i] == epoch]
-            kept.append((run, [i for i in riders if i not in forking], out))
-            split += [(run.copy(), [i], out) for i in forking]  # new lanes go last
-        lanes = []
+            staying = [i for i in riders if forks[i] != epoch] or riders[:1]
+            kept.append((run, staying, out))
+            split += [(run.copy(), [i], out) for i in riders if i not in staying]  # new lanes last
         for run, riders, out in kept + split:
             failed = out if isinstance(out, Exception) else _attempt(
                 close_epoch, cfgs[riders[0]], run, *out)
             outcomes.update(dict.fromkeys(riders, failed or run))
-            lanes += [] if failed else [(run, riders)]
-    return [outcomes[i] for i in range(len(cfgs))]
+            stop = min(stop, riders[0] + 1) if failed else stop
+        lanes = [(run, riders) for run, riders, _ in kept + split  # unfailed ones compare reaches
+                 if outcomes[riders[0]] is run and riders[0] < stop]
+    return [outcomes[i] for i in range(stop)]
 
 
 def run_experiment_with_params(cfg: ExperimentConfig) -> tuple[RunReport, ParamSet]:
     start = time.perf_counter()
-    cfgs, outcomes, data = _COMPARE.get() or ((cfg,), [], None)
-    train_set, val_set = data or load_dataset(cfg.data, cfg.run_seed)
-    if not outcomes:  # the first run of a compare trains all of its runs
-        outcomes += _train_lanes(cfgs, train_set, val_set)
-    if isinstance(run := outcomes.pop(0), Exception):
+    outcomes = _COMPARE.get() or iter(_train_lanes([cfg], *load_dataset(cfg.data, cfg.run_seed)))
+    if isinstance(run := next(outcomes), Exception):
         raise run
-    plan = scheduler.trace(cfg.dar, train_set.n)
+    plan = scheduler.trace(cfg.dar, run.schedule.population)
     records = tuple(EpochRecord(
         epoch=row.epoch, active_count=row.size, mean_train_loss=loss, validation_accuracy=acc,
         learning_rate=lr_at(cfg.train, row.epoch), cumulative_examples_used=used,
@@ -246,7 +245,7 @@ def run_experiment_with_params(cfg: ExperimentConfig) -> tuple[RunReport, ParamS
             plan, accumulate(row.size for row in plan), run.closed))
     report = RunReport(config=dict(cfg.echo), records=records,
                        final_validation_accuracy=records[-1].validation_accuracy,
-                       realized_cost_ratio=scheduler.cost_ratio(plan, train_set.n),
+                       realized_cost_ratio=scheduler.cost_ratio(plan, run.schedule.population),
                        wall_clock_seconds=time.perf_counter() - start)
     return report, run.params
 
@@ -346,7 +345,7 @@ def compare(cfgs: Sequence[ExperimentConfig]) -> list[CompareRow]:
               for i, cfg in enumerate(cfgs, start=1)]
     rows: list[CompareRow] = []
     shared = copy_context()  # sharing ends with the call
-    shared.run(_COMPARE.set, (cfgs, [], load_dataset(base.data, base.run_seed)))
+    shared.run(_COMPARE.set, iter(_train_lanes(cfgs, *load_dataset(base.data, base.run_seed))))
     for label, cfg in zip(labels, cfgs):
         report = shared.run(run_experiment, cfg)
         acc = report.final_validation_accuracy

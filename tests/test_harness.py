@@ -20,7 +20,7 @@ from dropfresh.harness import (CompareRow, HarnessError, compare, evaluate,
                                training_population, write_run_outputs)
 from dropfresh.model import ParamSet, forward, init_params, penultimate_features
 from dropfresh.scheduler import ActionKind, LossLedger, planned_cost, select_hardest, trace
-from helpers import bit_equal, example_ids, save_csv, subset
+from helpers import bit_equal, example_ids, lane_steps, save_csv, subset
 from test_acceptance import desk_dar_values, desk_values  # criterion 6's desk runs
 from test_golden import idx_flip_values
 
@@ -388,6 +388,24 @@ def test_a_copied_run_shares_no_writable_array_and_trains_apart(values):
     assert all(map(bit_equal, arrays(run), before[0])) and run.closed == before[1]
 
 
+def test_train_epoch_refuses_runs_at_different_epochs_and_no_runs():
+    # an epoch's learning rate, batch plan and augmentation key are one epoch's: a run closed at
+    # epoch 3 trained with a fresh one would take epoch 1's and then be closed as epoch 4
+    cfg = build_experiment_config(small_dar_values())
+    train_set, val_set = load_dataset(cfg.data, cfg.run_seed)
+    ahead, fresh = new_run(cfg, train_set), new_run(cfg, train_set)
+    for _ in range(3):
+        next_epoch(cfg, train_set, val_set, ahead)
+    before = [run.copy() for run in (ahead, fresh)]
+    with pytest.raises(ValueError, match=r"^runs at closed epochs \[0, 3\]"):
+        harness.train_epoch(cfg, train_set, val_set, [ahead, fresh])
+    for run, was in zip((ahead, fresh), before):
+        assert bit_equal(run.params.flat, was.params.flat)
+        assert bit_equal(run.velocity.flat, was.velocity.flat)
+    with pytest.raises(ValueError, match=r"^runs at closed epochs \[\]"):
+        harness.train_epoch(cfg, train_set, val_set, [])
+
+
 def desk_configs(seed):
     """Criterion 6's desk configs for run seed ``seed``, as the benchmark compares them."""
     return {"uniform": build_experiment_config(desk_values(seed)),
@@ -417,8 +435,8 @@ def assert_same_run(got, alone):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_compare_runs_each_desk_config_as_it_runs_alone(monkeypatch, seed):
-    # a run that resumes from another's saved epochs must give the bytes and the parameters
-    # of the config trained alone, whichever config comes first
+    # a run that rides another config's lane up to its fork epoch must give the bytes and the
+    # parameters of the config trained alone, whichever config comes first
     cfgs = desk_configs(seed)
     alone = {name: run_experiment_with_params(cfg) for name, cfg in cfgs.items()}
     for order in (("uniform", "dar", "reweight"), ("dar", "reweight", "uniform"),
@@ -453,7 +471,7 @@ def test_compare_runs_each_config_as_it_runs_alone(monkeypatch, tmp_path, case):
         runs = compared_runs(monkeypatch, order)
         for run, cfg in zip(runs, order):
             assert_same_run(run, alone[cfgs.index(cfg)])
-    if case.startswith("keep rate 1"):  # a run resumed at the end relabels a refresh or a keep
+    if case.startswith("keep rate 1"):  # runs that share every epoch read their own actions
         assert "refresh" in [record.action for record in alone[1][0].records]
 
 
@@ -471,23 +489,16 @@ def test_a_lane_failing_mid_epoch_leaves_the_lanes_stacked_with_it_as_they_run_a
     alone = [run_experiment_with_params(cfg) for cfg in (uniform, dar)]
     with pytest.raises(HarnessError, match="^epoch 3, examples .*overflow") as failed_alone:
         run_experiment_with_params(rew)
-    steps, inner = [], harness.model.loss_and_gradients
-
-    def lanes_per_call(params, *args, **kwargs):  # (lanes, whether the call raised)
-        steps.append([params.flat.shape[0] if params.flat.ndim == 2 else 1, True])
-        out = inner(params, *args, **kwargs)
-        steps[-1][1] = False
-        return out
-
     runs, run = [], harness.run_experiment_with_params
     with monkeypatch.context() as patch:
-        patch.setattr(harness.model, "loss_and_gradients", lanes_per_call)
+        steps = lane_steps(patch)
         patch.setattr(harness, "run_experiment_with_params",
                       lambda cfg: runs.append(run(cfg)) or runs[-1])
         with pytest.raises(HarnessError) as failed:
             compare([uniform, dar, rew])
     assert str(failed.value) == str(failed_alone.value)
-    assert [3, True] in steps  # the stacked step raised, and the epoch was replayed lane by lane
+    # the stacked step raised, and the epoch was replayed lane by lane
+    assert any(step == 3 and step.raised for step in steps)
     assert len(runs) == 2
     for got, want in zip(runs, alone):
         assert_same_run(got, want)
@@ -501,13 +512,7 @@ def test_compare_trains_each_epoch_its_runs_share_once(monkeypatch):
     def steps(cfg, first=1):  # training batches from epoch ``first`` on, by the plan
         return sum(math.ceil(row.size / batch) for row in trace(cfg.dar, population)[first - 1:])
 
-    calls, inner = [], harness.model.loss_and_gradients
-
-    def lanes_per_call(params, *args, **kwargs):  # the leading run axis, or 1 for a solo step
-        calls.append(params.flat.shape[0] if params.flat.ndim == 2 else 1)
-        return inner(params, *args, **kwargs)
-
-    monkeypatch.setattr(harness.model, "loss_and_gradients", lanes_per_call)
+    calls = lane_steps(monkeypatch)
     loads, load = [], harness.load_dataset
     monkeypatch.setattr(harness, "load_dataset", lambda *args: loads.append(1) or load(*args))
     compare(list(cfgs.values()))
@@ -536,6 +541,21 @@ def test_compare_trains_each_epoch_its_runs_share_once(monkeypatch):
     monkeypatch.setattr(harness, "_STACK_LIMIT", lane_size)
     compare(list(cfgs.values()))  # lanes of 874 parameters are not below a limit of 874
     assert len(calls) == sum(calls) == shared
+
+
+def test_compare_trains_before_it_reports(monkeypatch):
+    # compare trains every lane before its first run call; each call then only builds a report
+    steps, inner, during = lane_steps(monkeypatch), harness.run_experiment_with_params, []
+
+    def report(cfg):  # the training steps taken while this run call is active
+        before = len(steps)
+        out = inner(cfg)
+        during.append(len(steps) - before)
+        return out
+
+    monkeypatch.setattr(harness, "run_experiment_with_params", report)
+    compare(list(desk_configs(1).values()))
+    assert during == [0, 0, 0] and len(steps) == 1309
 
 
 def test_export_features_csv(tmp_path):

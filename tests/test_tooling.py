@@ -16,6 +16,7 @@ from dropfresh import config, harness
 from dropfresh.cli import main
 from dropfresh.config import build_experiment_config
 from dropfresh.scheduler import trace
+from helpers import lane_steps
 from test_harness import small_dar_values, small_values
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,9 +77,7 @@ def test_compare_makes_one_run_experiment_call_per_config_and_keeps_no_state(
     # idx-augment rounds train one config over and over: trained lanes must not outlive compare
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
-    steps, inner = [], harness.model.loss_and_gradients
-    monkeypatch.setattr(harness.model, "loss_and_gradients",
-                        lambda *args, **kwargs: steps.append(1) or inner(*args, **kwargs))
+    steps = lane_steps(monkeypatch)
 
     def trains_every_batch(cfg):
         steps.clear()
@@ -97,13 +96,14 @@ def test_compare_makes_one_run_experiment_call_per_config_and_keeps_no_state(
     assert all(trains_every_batch(cfg) for cfg in cfgs)
 
     # on two contradictory 1e100 rows and 30 easy ones, loss-proportional weights overflow an
-    # update in epoch 4 while uniform training stays finite
+    # update in epoch 4 while uniform and dar training stay finite for all 20 epochs
     path = tmp_path / "diverges.csv"
     path.write_text("0,1e100\n1,1e100\n" + "0,0\n" * 30)
-    values = {"data.source": "csv", "data.csv": str(path), "train.total_epochs": "4",
+    values = {"data.source": "csv", "data.csv": str(path), "train.total_epochs": "20",
               "train.base_lr": "1e108", "train.batch_size": "32"}
-    uniform, rew = (build_experiment_config({**values, "policy": policy})
-                    for policy in ("uniform", "reweight"))
+    uniform, rew, dar = (build_experiment_config({**values, **extra}) for extra in (
+        {"policy": "uniform"}, {"policy": "reweight"},
+        {"policy": "dar", "dar.keep_rate": "0.75", "dar.warmup_epochs": "1"}))
     diverged = "^epoch 4, examples .*overflow"
     with workloads.captured_reports() as reports, pytest.raises(harness.HarnessError,
                                                                 match=diverged) as compared:
@@ -114,9 +114,20 @@ def test_compare_makes_one_run_experiment_call_per_config_and_keeps_no_state(
         harness.run_experiment(rew)
     assert len(steps) == 4  # epochs 1-3 and the batch that overflowed, nothing left from compare
     assert str(compared.value) == str(alone.value)  # the lane failed as the run alone does
+    steps.clear()
     with workloads.captured_reports() as reports, pytest.raises(harness.HarnessError) as first:
         harness.compare([rew, uniform])
     assert reports == [] and str(first.value) == str(alone.value)  # the first call raises
+    # no lane trains past the epoch the first failing config fails in: (epoch, lanes) per step,
+    # epoch None where the step raised before its update (the stacked pair, then reweight alone)
+    assert [(step.epoch, step) for step in steps] == [
+        (1, 1), (2, 2), (3, 2), (None, 2), (4, 1), (None, 1)]
+    steps.clear()
+    with pytest.raises(harness.HarnessError) as later:
+        harness.compare([uniform, rew, dar])
+    assert str(later.value) == str(alone.value)
+    # dar's lane, after the failing reweight, stops with it: only uniform's trains on
+    assert [step for step in steps if (step.epoch or 0) > 4] == [1] * 16
 
 
 def test_every_benchmark_workload_passes_its_own_check_at_its_tiny_size(tmp_path, monkeypatch):
