@@ -132,8 +132,8 @@ class RunState:
 def train_epoch(cfg: ExperimentConfig, train_set: Dataset, val_set: Dataset | None,
                 runs: Sequence[RunState]) -> list[tuple[np.ndarray, float | None]]:
     """Train the next epoch of each run as lanes in lockstep: per run, its losses in pool order
-    and validation accuracy. One run trains on its own arrays, several on stack buffers copied
-    back once all are trained and evaluated, so a raise leaves every run as it was."""
+    and validation accuracy. Every lane trains on stack buffers, copied back into its run only
+    once all are trained and evaluated, so a raise leaves every run as it was."""
     if len(epochs := sorted({run.schedule.epoch for run in runs})) != 1:
         raise ValueError(f"runs at closed epochs {epochs}: train_epoch needs runs at one epoch")
     epoch, sizes = epochs[0] + 1, runs[0].params.layer_sizes
@@ -142,8 +142,7 @@ def train_epoch(cfg: ExperimentConfig, train_set: Dataset, val_set: Dataset | No
     epoch_key = datasets.epoch_seed(cfg.run_seed, epoch)
     plans = [datasets.epoch_batches(run.schedule.active_ids, cfg.batch_size, cfg.run_seed, epoch)
              for run in runs]
-    stack = np.stack if len(runs) > 1 else lambda flats: flats[0][None]  # one run: its own arrays
-    bufs = [stack([run.params.flat for run in runs]), stack([run.velocity.flat for run in runs])]
+    bufs = [np.stack([getattr(run, name).flat for run in runs]) for name in ("params", "velocity")]
     bufs.append(np.zeros_like(bufs[0]))  # the gradients
     rows = [[ParamSet.view(buf[i], sizes) for buf in bufs] for i in range(len(runs))]
     stacks = {k: (np.arange(k)[:, None], [ParamSet.view(buf[:k], sizes) for buf in bufs])
@@ -173,7 +172,7 @@ def train_epoch(cfg: ExperimentConfig, train_set: Dataset, val_set: Dataset | No
         accs = [evaluate(params, val_set) if val_set is not None else None for params, *_ in rows]
     except FloatingPointError as exc:
         raise HarnessError(f"epoch {epoch}, validation: {exc}") from exc
-    for run, (params, velocity, _) in zip(runs, rows if len(runs) > 1 else ()):
+    for run, (params, velocity, _) in zip(runs, rows):
         run.params.flat[:], run.velocity.flat[:] = params.flat, velocity.flat
     return [(loss_by_id[i, run.schedule.active_ids], acc)  # the plan permutes the pool
             for i, (run, acc) in enumerate(zip(runs, accs))]
@@ -329,8 +328,8 @@ def compare(cfgs: Sequence[ExperimentConfig]) -> list[CompareRow]:
     """Run shared-seed configs in order, one ``run_experiment`` call each, and tabulate cost and
     accuracy. Configs must agree on everything except the policy and its drop/refresh
     parameters; the delta column is against the first config's accuracy. The runs share the
-    data, loaded once, and the first call trains them all in lockstep (``_train_lanes``), so its
-    ``wall_clock_seconds`` covers all the training and a later call's only its own report."""
+    data, loaded once, and train in lockstep (``_train_lanes``) before the first call, so each
+    report's ``wall_clock_seconds`` times no training, only building that report."""
     if len(cfgs) < 2:
         raise HarnessError("compare needs at least two configs")
     base = cfgs[0]

@@ -475,14 +475,40 @@ def test_compare_runs_each_config_as_it_runs_alone(monkeypatch, tmp_path, case):
         assert "refresh" in [record.action for record in alone[1][0].records]
 
 
-def test_a_lane_failing_mid_epoch_leaves_the_lanes_stacked_with_it_as_they_run_alone(
-        monkeypatch, tmp_path):
-    # on two contradictory 1e100 rows and 30 easy ones, reweight overflows in epoch 3's third
-    # batch, a step its lane shares with uniform's and dar's (24 of 32 examples kept)
+def diverging_values(tmp_path):
+    """On two contradictory 1e100 rows and 30 easy ones, reweight overflows in epoch 3's third
+    batch; uniform trains all six epochs."""
     path = tmp_path / "diverges.csv"
     path.write_text("0,1e100\n1,1e100\n" + "0,0\n" * 30)
-    values = {"data.source": "csv", "data.csv": str(path), "train.total_epochs": "6",
-              "train.base_lr": "1e108", "train.batch_size": "8"}
+    return {"data.source": "csv", "data.csv": str(path), "train.total_epochs": "6",
+            "train.base_lr": "1e108", "train.batch_size": "8"}
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_a_raising_train_epoch_leaves_its_runs_untouched(tmp_path, lanes):
+    # reweight's epoch 3 raises alone or stacked with uniform's lane (which alone would not):
+    # no lane is copied back, so each run stays as epoch 2 closed it
+    values = diverging_values(tmp_path)
+    cfgs = [build_experiment_config({**values, "policy": p}) for p in ("reweight", "uniform")]
+    train_set, val_set = load_dataset(cfgs[0].data, cfgs[0].run_seed)
+    runs = [new_run(cfg, train_set) for cfg in cfgs[:lanes]]
+    for _ in range(2):
+        for cfg, run in zip(cfgs, runs):
+            next_epoch(cfg, train_set, val_set, run)
+    before = [(run.params.flat.copy(), run.velocity.flat.copy(), run.schedule, list(run.closed))
+              for run in runs]
+    with pytest.raises(HarnessError, match="^epoch 3, examples .*overflow"):
+        harness.train_epoch(cfgs[0], train_set, val_set, runs)
+    for run, (params, velocity, schedule, closed) in zip(runs, before):
+        assert bit_equal(run.params.flat, params) and bit_equal(run.velocity.flat, velocity)
+        assert run.schedule is schedule and run.closed == closed
+
+
+def test_a_lane_failing_mid_epoch_leaves_the_lanes_stacked_with_it_as_they_run_alone(
+        monkeypatch, tmp_path):
+    # reweight overflows in epoch 3's third batch, a step its lane shares with uniform's and
+    # dar's (24 of 32 examples kept)
+    values = diverging_values(tmp_path)
     uniform, dar, rew = (build_experiment_config({**values, **extra}) for extra in (
         {"policy": "uniform"}, {"policy": "dar", "dar.keep_rate": "0.75",
                                 "dar.warmup_epochs": "1"}, {"policy": "reweight"}))
