@@ -31,10 +31,6 @@ _SPLIT_STREAM = 1
 # Evaluation and the export run on blocks of this many rows, the last up to twice as many: on
 # OpenBLAS 0.3.31 each row then gets the bits of the whole product (fewer rows can change them)
 _ROW_BLOCK = 256
-# Lanes take stacked steps only below this many parameters each. At batch 64 on one OpenBLAS
-# 0.3.31 thread, a stacked pair took 0.76 of two solo steps' time at desk's 874 parameters, 0.95
-# at 16,705, 1.03 at 34,195 and 1.07 at idx-augment's 101,770, where two lanes miss the cache
-_STACK_LIMIT = 20_000
 # Only in compare's runs: each config's final state or error, in config order, trained already
 _COMPARE: ContextVar[Iterator | None] = ContextVar("_COMPARE", default=None)
 
@@ -146,7 +142,7 @@ def train_epoch(cfg: ExperimentConfig, train_set: Dataset, val_set: Dataset | No
     bufs.append(np.zeros_like(bufs[0]))  # the gradients
     rows = [[ParamSet.view(buf[i], sizes) for buf in bufs] for i in range(len(runs))]
     stacks = {k: (np.arange(k)[:, None], [ParamSet.view(buf[:k], sizes) for buf in bufs])
-              for k in range(2, len(runs) + 1) if bufs[0].shape[1] < _STACK_LIMIT}
+              for k in range(2, len(runs) + 1)}
     loss_by_id = np.empty((len(runs), train_set.n))
     table = None if all(run.weights is None for run in runs) else np.stack([  # ones are exact
         np.ones(train_set.n) if run.weights is None else run.weights.values for run in runs])

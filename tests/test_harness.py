@@ -445,9 +445,9 @@ def test_compare_runs_each_desk_config_as_it_runs_alone(monkeypatch, seed):
             assert_same_run(run, alone[name])
 
 
-def _idx_flip_configs(work):
+def _idx_flip_configs(work, **overrides):
     values = {key: str(value) for key, value in
-              apply_preset(idx_flip_values(work), "desk-default").items()}
+              apply_preset({**idx_flip_values(work), **overrides}, "desk-default").items()}
     return [values, {**values, "policy": "uniform"}]
 
 
@@ -460,6 +460,10 @@ COMPARED_ALONE = {  # config values compare runs, by what they share
                                    for policy in ("uniform", "reweight")] + [
         small_dar_values(**{"data.val_fraction": "0"})],
     "golden idx flips": _idx_flip_configs,
+    "idx flips, 21,710 parameters a lane": lambda work: [  # 144 inputs, 140 hidden units;
+        *(configs := _idx_flip_configs(  # dar forks after epoch 8 of 10
+            work, **{"model.hidden": "140", "train.total_epochs": "10"})),
+        {**configs[0], "policy": "reweight"}],
 }
 
 
@@ -468,7 +472,11 @@ def test_compare_runs_each_config_as_it_runs_alone(monkeypatch, tmp_path, case):
     cfgs = [build_experiment_config(values) for values in COMPARED_ALONE[case](tmp_path)]
     alone = [run_experiment_with_params(cfg) for cfg in cfgs]
     for order in (cfgs, cfgs[::-1]):
-        runs = compared_runs(monkeypatch, order)
+        with monkeypatch.context() as patch:
+            steps = lane_steps(patch)
+            runs = compared_runs(patch, order)
+        if case.startswith("idx flips, 21,710"):  # lanes of any size share stacked steps
+            assert max(steps) == 3
         for run, cfg in zip(runs, order):
             assert_same_run(run, alone[cfgs.index(cfg)])
     if case.startswith("keep rate 1"):  # runs that share every epoch read their own actions
@@ -562,11 +570,6 @@ def test_compare_trains_each_epoch_its_runs_share_once(monkeypatch):
     calls.clear()
     run_experiment(cfgs["dar"])
     assert len(calls) == sum(calls) == steps(cfgs["dar"]) and len(loads) == 2  # alone, all 1,129
-    calls.clear()
-    lane_size = len(init_params([16, *cfgs["uniform"].hidden_layers, 10], 0).flat)
-    monkeypatch.setattr(harness, "_STACK_LIMIT", lane_size)
-    compare(list(cfgs.values()))  # lanes of 874 parameters are not below a limit of 874
-    assert len(calls) == sum(calls) == shared
 
 
 def test_compare_trains_before_it_reports(monkeypatch):

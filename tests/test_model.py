@@ -437,18 +437,19 @@ def test_array_holders_compare_by_identity(make, twin):
 
 
 @settings(max_examples=60, deadline=None)
-@given(lanes=st.integers(1, 4), hidden=st.sampled_from([(), (32,), (32, 16)]),
-       batch=st.integers(1, 70), weighted=st.lists(st.booleans(), min_size=4, max_size=4),
-       seed=st.integers(0, 2**16))
-def test_stacked_lanes_step_each_with_the_bits_of_its_own_call(lanes, hidden, batch, weighted,
-                                                              seed):
+@given(lanes=st.integers(1, 4), dim=st.sampled_from([16, 784]),
+       hidden=st.sampled_from([(), (32,), (32, 16), (128,)]), batch=st.integers(1, 70),
+       weighted=st.lists(st.booleans(), min_size=4, max_size=4), seed=st.integers(0, 2**16))
+def test_stacked_lanes_step_each_with_the_bits_of_its_own_call(lanes, dim, hidden, batch,
+                                                              weighted, seed):
     # a leading run axis on flat, features, labels and weights stacks K runs in one call;
-    # a lane without weights takes a row of ones, which multiplies exactly
+    # a lane without weights takes a row of ones, which multiplies exactly; lanes of any size
+    # stack, up to idx-augment's 784 inputs and 128 hidden units
     rng = np.random.default_rng(seed)
-    sizes = [16, *hidden, 10]
+    sizes = [dim, *hidden, 10]
     flat = np.stack([init_params(sizes, seed + k).flat for k in range(lanes)])
     velocity = rng.normal(size=flat.shape)
-    features = rng.normal(scale=2.0, size=(lanes, batch, 16))
+    features = rng.normal(scale=2.0, size=(lanes, batch, dim))
     labels = rng.integers(0, 10, size=(lanes, batch))
     weights = np.where(np.array(weighted[:lanes])[:, None],
                        rng.uniform(0.1, 3.0, size=(lanes, batch)), 1.0)
