@@ -159,7 +159,7 @@ def train_epoch(cfg: ExperimentConfig, train_set: Dataset, val_set: Dataset | No
                     batch = datasets.make_batch(train_set, ids, cfg.data.augment, epoch_key)
                     loss_by_id[lanes, ids] = model.loss_and_gradients(
                         params, batch.features, batch.labels, cfg.train.weight_decay,
-                        None if table is None else table[lanes, ids], out=grads)[0]
+                        None if table is None else table[lanes, ids], grads)
                     model.sgd_step(params, grads, cfg.train, epoch, velocity)
                 except (ValueError, FloatingPointError) as exc:
                     raise HarnessError(

@@ -206,12 +206,11 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray) -> BatchOutput:
 
 def loss_and_gradients(params: ParamSet, features: np.ndarray, labels: np.ndarray,
                        weight_decay: float, sample_weights: np.ndarray | None,
-                       out: ParamSet | None = None) -> tuple[np.ndarray, ParamSet]:
-    """Per-example losses and ``backward``'s gradients from one forward pass, written into
-    ``out`` (a new ``zeros_like(params)`` if None), which is returned; K stacked runs (``flat``
-    and every argument lead with K) each get the bits of their own call. Arguments are not
-    re-checked: ``backward`` checks them, and the harness takes them from a dataset and a
-    weight vector that were checked when built."""
+                       out: ParamSet) -> np.ndarray:
+    """Per-example losses, with ``backward``'s gradients written into ``out``, from one forward
+    pass; K stacked runs (``flat`` and every argument lead with K) each get the bits of their
+    own call. Arguments are not re-checked: ``backward`` checks them, and the harness takes them
+    from a dataset and a weight vector that were checked when built."""
     acts = _forward_pass(params, features)
     if not np.isfinite(acts[-1]).all():
         raise ValueError("non-finite logits")
@@ -222,8 +221,6 @@ def loss_and_gradients(params: ParamSet, features: np.ndarray, labels: np.ndarra
     if sample_weights is not None:
         delta *= sample_weights[..., None]
     delta /= batch
-    if out is None:
-        out = ParamSet.zeros_like(params)
     for layer in range(len(params.weights) - 1, -1, -1):
         grad_w = np.matmul(delta.swapaxes(-1, -2), acts[layer], out=out.weights[layer])
         weights = params.weights[layer]
@@ -233,13 +230,13 @@ def loss_and_gradients(params: ParamSet, features: np.ndarray, labels: np.ndarra
         np.add.reduce(delta, axis=-2, out=out.biases[layer])
         if layer > 0:
             delta = (delta @ params.weights[layer]) * (acts[layer] > 0.0)
-    return losses, out
+    return losses
 
 
 def backward(params: ParamSet, features: np.ndarray, labels: np.ndarray,
              weight_decay: float = 0.0,
              sample_weights: np.ndarray | None = None) -> ParamSet:
-    """Gradients of mean (optionally weighted) cross-entropy plus L2 on weights.
+    """Gradients of mean (optionally weighted) cross-entropy plus L2 on weights, in a new ParamSet.
 
     The objective is ``(1/B) sum_i w_i * loss_i + (decay/2) * sum ||W||^2``;
     biases are not decayed.
@@ -255,21 +252,20 @@ def backward(params: ParamSet, features: np.ndarray, labels: np.ndarray,
             raise ValueError(f"sample_weights shape {sample_weights.shape} != ({len(features)},)")
         if not np.isfinite(sample_weights).all() or (sample_weights < 0).any():
             raise ValueError("sample_weights must be finite and >= 0")
-    return loss_and_gradients(params, features, labels, weight_decay, sample_weights)[1]
+    grads = ParamSet.zeros_like(params)
+    loss_and_gradients(params, features, labels, weight_decay, sample_weights, grads)
+    return grads
 
 
 def sgd_step(params: ParamSet, grads: ParamSet, hyper: TrainHyper, epoch: int,
-             velocity: ParamSet | None = None) -> tuple[ParamSet, ParamSet]:
-    """v <- m*v + g, then w <- w - lr(epoch)*v, in place on ``flat``; returns (params, v)."""
+             velocity: ParamSet) -> None:
+    """v <- m*v + g, then w <- w - lr(epoch)*v, both in place on ``flat``."""
     if [w.shape for w in grads.weights] != [w.shape for w in params.weights]:
         raise ValueError("gradient shapes do not match parameters")
-    if velocity is None:
-        velocity = ParamSet.zeros_like(params)
     v = velocity.flat
     v *= hyper.momentum
     v += grads.flat
     params.flat -= lr_at(hyper, epoch) * v
-    return params, velocity
 
 
 def predict(params: ParamSet, features: np.ndarray) -> np.ndarray:

@@ -47,13 +47,13 @@ def lane_steps(patch) -> list[LaneStep]:
 
     def counted(params, *args, **kwargs):
         steps.append(LaneStep(params.flat.shape[0] if params.flat.ndim == 2 else 1))
-        out = loss_and_gradients(params, *args, **kwargs)
+        losses = loss_and_gradients(params, *args, **kwargs)
         steps[-1].raised = False
-        return out
+        return losses
 
-    def stepped(params, grads, hyper, epoch, velocity=None):
+    def stepped(params, grads, hyper, epoch, velocity):
         steps[-1].epoch = epoch
-        return sgd_step(params, grads, hyper, epoch, velocity)
+        sgd_step(params, grads, hyper, epoch, velocity)
 
     patch.setattr(model, "loss_and_gradients", counted)
     patch.setattr(model, "sgd_step", stepped)

@@ -201,9 +201,9 @@ def test_the_drop_gets_the_epochs_losses_in_pool_order(monkeypatch):
         return batches[-1]
 
     def loss_spy(*args, **kwargs):
-        out = loss_and_gradients(*args, **kwargs)
-        trained.update(zip(batches[-1].ids.tolist(), out[0].tolist()))
-        return out
+        losses = loss_and_gradients(*args, **kwargs)
+        trained.update(zip(batches[-1].ids.tolist(), losses.tolist()))
+        return losses
 
     def spy(state, config, losses):
         latest = [trained[i] for i in state.active_ids.tolist()]

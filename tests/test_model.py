@@ -246,9 +246,10 @@ def test_sgd_two_steps_frozen():
     params = single_layer([[0.0]], [0.0])
     grads = single_layer([[1.0]], [1.0])
     hyper = TrainHyper(base_lr=1.0, momentum=0.9)
-    params, velocity = sgd_step(params, grads, hyper, epoch=1)
+    velocity = ParamSet.zeros_like(params)
+    sgd_step(params, grads, hyper, 1, velocity)
     assert params.weights[0][0, 0] == -1.0
-    params, velocity = sgd_step(params, grads, hyper, epoch=1, velocity=velocity)
+    sgd_step(params, grads, hyper, 1, velocity)
     assert params.weights[0][0, 0] == pytest.approx(-2.9, rel=1e-15)
     assert velocity.weights[0][0, 0] == pytest.approx(1.9, rel=1e-15)
 
@@ -257,15 +258,15 @@ def test_sgd_uses_epoch_lr():
     hyper = TrainHyper(base_lr=0.5, momentum=0.0, lr_milestones=(1,), lr_gamma=0.1)
     params = single_layer([[0.0]], [0.0])
     grads = single_layer([[1.0]], [0.0])
-    after, _ = sgd_step(params, grads, hyper, epoch=2)
-    assert after.weights[0][0, 0] == pytest.approx(-0.05, rel=1e-15)
+    sgd_step(params, grads, hyper, 2, ParamSet.zeros_like(params))
+    assert params.weights[0][0, 0] == pytest.approx(-0.05, rel=1e-15)
 
 
 def test_sgd_shape_mismatch():
     params = single_layer([[0.0]], [0.0])
     bad = single_layer([[0.0, 0.0]], [0.0])
     with pytest.raises(ValueError, match="shapes"):
-        sgd_step(params, bad, TrainHyper(base_lr=1.0), epoch=1)
+        sgd_step(params, bad, TrainHyper(base_lr=1.0), 1, ParamSet.zeros_like(params))
 
 
 def test_train_hyper_validation():
@@ -379,7 +380,8 @@ def test_fused_step_matches_separate_calls_bit_for_bit(seed):
     decay = 0.0 if seed % 2 else 0.01
     sample_weights = rng.uniform(0.1, 3.0, size=batch) if seed % 4 < 2 else None
 
-    losses, grads = loss_and_gradients(params, features, labels, decay, sample_weights)
+    grads = ParamSet.zeros_like(params)
+    losses = loss_and_gradients(params, features, labels, decay, sample_weights, grads)
     expected = softmax_xent(forward(params, features), labels).per_example_loss
     assert losses.tobytes() == expected.tobytes()
     separate = backward(params, features, labels, weight_decay=decay,
@@ -391,8 +393,7 @@ def test_fused_step_matches_separate_calls_bit_for_bit(seed):
     velocity = ParamSet([rng.normal(size=w.shape) for w in params.weights],
                         [rng.normal(size=b.shape) for b in params.biases])
     before_p, before_v = params.copy(), velocity.copy()
-    new_p, new_v = sgd_step(params, grads, hyper, epoch=1, velocity=velocity)
-    assert new_p is params and new_v is velocity
+    sgd_step(params, grads, hyper, 1, velocity)
     for w, v, w0, v0, g in zip(params.weights + params.biases,
                                velocity.weights + velocity.biases,
                                before_p.weights + before_p.biases,
@@ -409,14 +410,13 @@ def test_loss_and_gradients_writes_into_out(decay, weighted):
     features = rng.normal(size=(7, 4))
     labels = rng.integers(0, 3, size=7)
     sample_weights = rng.uniform(0.5, 2.0, size=7) if weighted else None
-    fresh_losses, fresh = loss_and_gradients(params, features, labels, decay, sample_weights)
+    fresh = ParamSet.zeros_like(params)
+    fresh_losses = loss_and_gradients(params, features, labels, decay, sample_weights, fresh)
     out = ParamSet.zeros_like(params)
     out.flat[:] = np.nan  # every entry must be overwritten
-    losses, grads = loss_and_gradients(params, features, labels, decay, sample_weights,
-                                       out=out)
-    assert grads is out
+    losses = loss_and_gradients(params, features, labels, decay, sample_weights, out)
     assert losses.tobytes() == fresh_losses.tobytes()
-    assert grads.flat.tobytes() == fresh.flat.tobytes()
+    assert out.flat.tobytes() == fresh.flat.tobytes()
 
 
 @pytest.mark.parametrize("make, twin", [
@@ -455,12 +455,14 @@ def test_stacked_lanes_step_each_with_the_bits_of_its_own_call(lanes, dim, hidde
                        rng.uniform(0.1, 3.0, size=(lanes, batch)), 1.0)
     hyper = TrainHyper(base_lr=0.1, momentum=0.9, weight_decay=1e-4)
     params, moved = ParamSet.view(flat.copy(), sizes), ParamSet.view(velocity.copy(), sizes)
-    losses, grads = loss_and_gradients(params, features, labels, 1e-4, weights)
+    grads = ParamSet.zeros_like(params)
+    losses = loss_and_gradients(params, features, labels, 1e-4, weights, grads)
     sgd_step(params, grads, hyper, 2, moved)
     for k in range(lanes):
         alone, alone_v = ParamSet.from_flat(flat[k], sizes), ParamSet.from_flat(velocity[k], sizes)
-        alone_losses, alone_grads = loss_and_gradients(
-            alone, features[k], labels[k], 1e-4, weights[k] if weighted[k] else None)
+        alone_grads = ParamSet.zeros_like(alone)
+        alone_losses = loss_and_gradients(alone, features[k], labels[k], 1e-4,
+                                          weights[k] if weighted[k] else None, alone_grads)
         sgd_step(alone, alone_grads, hyper, 2, alone_v)
         assert losses[k].tobytes() == alone_losses.tobytes()
         assert grads.flat[k].tobytes() == alone_grads.flat.tobytes()
